@@ -34,6 +34,31 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+# Options whose value may start with "-" (a negative coordinate or z), which
+# argparse would otherwise read as an unknown option.
+_SIGNED_OPTIONS = ("--weight", "--z", "--z-range")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite `--opt value` as `--opt=value` for the options above."""
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        if argv[i] in _SIGNED_OPTIONS and i + 1 < len(argv):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="gkdim",
@@ -69,7 +94,7 @@ def _build_parser() -> _Parser:
     p_oracle = sub.add_parser(
         "verify-oracle", help="compare the Hecke a-function with the tableau rule"
     )
-    p_oracle.add_argument("--rank", type=int, default=4)
+    p_oracle.add_argument("--rank", type=_positive_int, default=4)
     p_oracle.add_argument("--output", choices=("json", "pretty"), default="json")
 
     return parser
@@ -154,7 +179,9 @@ def _run_weight_command(args, compute) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = _build_parser().parse_args(_attach_signed_values(argv))
 
         if args.command == "gkdim":
             def compute(w):
@@ -205,12 +232,14 @@ def main(argv: list[str] | None = None) -> int:
             return _run_weight_command(args, compute)
 
         if args.command == "verify-oracle":
+            # Gate before any work: the rank-n table has n! elements.
+            hecke._check_rank(args.rank, hecke.DEFAULT_RANK_BOUND)
             results = []
             for n in range(1, args.rank + 1):
                 bad = []
                 for ol in _all_one_lines(range(1, n + 1)):
                     sigma = Permutation(ol)
-                    lhs = hecke.a_function_definitional(sigma, rank_bound=args.rank)
+                    lhs = hecke.a_function_definitional(sigma)
                     rhs = a_value_of_permutation(sigma)
                     if lhs != rhs:
                         bad.append(list(ol))

@@ -10,19 +10,18 @@ Writing C_x C_y = sum_z h_{x,y,z} C_z, the a-function is
 This module computes a(z) literally from that definition.  It exists as an
 independent small-rank oracle for the tableau-based a-value, so nothing here
 may depend on Robinson-Schensted theory.  Ranks are gated by a configurable
-bound (default 5): the full structure-constant table for S_5 is the hot path
-and is built once per rank through the kernel selected in ``kernels``.
+bound (default 5): the full structure-constant table is the hot path.  It is
+built once per rank by sparse products against the right multiplications by
+the generators C_s, one dict of nonzero {degree: coeff} entries per matrix
+cell, and it needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
-import numpy as np
-
-from . import kernels
 from .errors import RankBoundError
 from .laurent import LaurentPoly
 from .permutations import Permutation
@@ -220,37 +219,42 @@ def mu_value(y: Permutation, w: Permutation) -> int:
 #   C_x C_s   = (v + v^-1) C_x                      if xs < x
 #   C_x C_s   = C_{xs} + sum_{zs<z} mu(z,x) C_z     if xs > x
 # give R_{y's} = R_{y'} R_s - sum_{zs<z} mu(z,y') R_z, so the whole table
-# follows from matrix products against the sparse R_s.  Matrices are stored
-# as dense int64 arrays (degree, x, z) plus the exponent of slice 0; the
-# products run through kernels.polymat_matmul.
+# follows from products against the sparse R_s.  Elements are indexed by
+# their position in the length order, and a matrix is stored sparsely as one
+# row per x: a dict {z: {degree: coeff}} holding only the nonzero entries.
+
+_Row = dict[int, dict[int, int]]
 
 
-class _PolyMat:
-    __slots__ = ("arr", "off")
-
-    def __init__(self, arr: np.ndarray, off: int):
-        self.arr = arr
-        self.off = off
-
-    def trimmed(self) -> "_PolyMat":
-        nz = [d for d in range(self.arr.shape[0]) if self.arr[d].any()]
-        if not nz:
-            return _PolyMat(self.arr[:1] * 0, 0)
-        lo, hi = nz[0], nz[-1] + 1
-        return _PolyMat(np.ascontiguousarray(self.arr[lo:hi]), self.off + lo)
-
-    def add_scaled(self, other: "_PolyMat", c: int) -> "_PolyMat":
-        lo = min(self.off, other.off)
-        hi = max(self.off + self.arr.shape[0], other.off + other.arr.shape[0])
-        n = self.arr.shape[1]
-        out = np.zeros((hi - lo, n, n), dtype=np.int64)
-        out[self.off - lo : self.off - lo + self.arr.shape[0]] += self.arr
-        out[other.off - lo : other.off - lo + other.arr.shape[0]] += c * other.arr
-        return _PolyMat(out, lo)
-
-    def matmul(self, other: "_PolyMat") -> "_PolyMat":
-        arr = kernels.polymat_matmul(self.arr, other.arr)
-        return _PolyMat(arr, self.off + other.off)
+def _polymat_mul(
+    a: list[_Row], b: list[_Row], minus: Sequence[tuple[list[_Row], int]] = ()
+) -> list[_Row]:
+    """a*b - sum of m*c over (c, m) in minus, for sparse matrices of Laurent
+    polynomials: row x of a*b is sum over k of a[x][k] * b[k]."""
+    out = []
+    for x, row in enumerate(a):
+        acc: _Row = {}
+        for k, p in row.items():
+            for z, q in b[k].items():
+                cell = acc.get(z)
+                if cell is None:
+                    cell = acc[z] = {}
+                for d1, c1 in p.items():
+                    for d2, c2 in q.items():
+                        d = d1 + d2
+                        cell[d] = cell.get(d, 0) + c1 * c2
+        for c, m in minus:
+            for z, poly in c[x].items():
+                cell = acc.setdefault(z, {})
+                for d, coeff in poly.items():
+                    cell[d] = cell.get(d, 0) - m * coeff
+        nonzero: _Row = {}
+        for z, poly in acc.items():
+            poly = {d: coeff for d, coeff in poly.items() if coeff}
+            if poly:
+                nonzero[z] = poly
+        out.append(nonzero)
+    return out
 
 
 def _all_perms_by_length(n: int) -> list[Permutation]:
@@ -274,53 +278,49 @@ def _build_a_table(n: int) -> dict[tuple[int, ...], int]:
     perms = _all_perms_by_length(n)
     index = {w: k for k, w in enumerate(perms)}
     size = len(perms)
+    descents = [set(w.right_descents()) for w in perms]
 
     # mu pairs, grouped by the longer element
-    mu: dict[Permutation, list[tuple[Permutation, int]]] = {w: [] for w in perms}
+    mu: list[list[tuple[int, int]]] = []
     for w in perms:
         cw = _kl_element(w)
-        for y, p in cw.terms.items():
-            if y != w and p[-1]:
-                mu[w].append((y, p[-1]))
+        mu.append(
+            [(index[y], p[-1]) for y, p in cw.terms.items() if y != w and p[-1]]
+        )
 
     # right multiplication by C_s, one sparse matrix per generator
-    r_s: list[_PolyMat] = []
+    r_s: list[list[_Row]] = []
     for i in range(1, n):
-        arr = np.zeros((3, size, size), dtype=np.int64)  # exponents -1, 0, 1
-        for x in perms:
-            xi = index[x]
-            xs = x.times_s(i)
-            if xs.length() < x.length():
-                arr[0, xi, xi] += 1
-                arr[2, xi, xi] += 1
+        rows: list[_Row] = []
+        for xi, x in enumerate(perms):
+            if i in descents[xi]:
+                rows.append({xi: {-1: 1, 1: 1}})
             else:
-                arr[1, xi, index[xs]] += 1
-                for z, m in mu[x]:
-                    if z.times_s(i).length() < z.length():
-                        arr[1, xi, index[z]] += m
-        r_s.append(_PolyMat(arr, -1).trimmed())
+                row: _Row = {index[x.times_s(i)]: {0: 1}}
+                for z, m in mu[xi]:
+                    if i in descents[z]:
+                        row[z] = {0: m}
+                rows.append(row)
+        r_s.append(rows)
 
-    identity = np.eye(size, dtype=np.int64)[None, :, :]
-    r: list[_PolyMat | None] = [None] * size
-    r[0] = _PolyMat(np.ascontiguousarray(identity), 0)
+    r: list[list[_Row] | None] = [None] * size
+    r[0] = [{x: {0: 1}} for x in range(size)]
     for k, w in enumerate(perms):
         if r[k] is not None:
             continue
-        i = w.right_descents()[-1]
-        shorter = w.times_s(i)
-        acc = r[index[shorter]].matmul(r_s[i - 1])
-        for z, m in mu[shorter]:
-            if z.times_s(i).length() < z.length():
-                acc = acc.add_scaled(r[index[z]], -m)
-        r[k] = acc.trimmed()
+        i = max(descents[k])
+        shorter = index[w.times_s(i)]
+        minus = [(r[z], m) for z, m in mu[shorter] if i in descents[z]]
+        r[k] = _polymat_mul(r[shorter], r_s[i - 1], minus)
 
-    best = np.full(size, -1, dtype=np.int64)
+    best = [-1] * size
     for mat in r:
-        depth = mat.arr.shape[0]
-        col_any = (mat.arr != 0).any(axis=1)  # (degree, z)
-        degs = np.where(col_any, np.arange(depth)[:, None] + mat.off, -1)
-        best = np.maximum(best, degs.max(axis=0))
-    return {w.one_line: int(best[index[w]]) for w in perms}
+        for row in mat:
+            for z, poly in row.items():
+                d = max(poly)
+                if d > best[z]:
+                    best[z] = d
+    return {w.one_line: best[index[w]] for w in perms}
 
 
 def a_function_definitional(

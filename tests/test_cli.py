@@ -57,6 +57,16 @@ class TestGKdimCommand:
         code, _, err = run(capsys, "gkdim")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv", [("--weight", "-3,1,2"), ("--weight=-3,1,2",)]
+    )
+    def test_negative_first_coordinate(self, capsys, argv):
+        code, out, _ = run(capsys, "gkdim", *argv)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["gk_dimension"] == 3
+        assert obj["classes"][0]["tableau"] == [["-3", "1", "2"]]
+
 
 class TestHermitianCommand:
     def test_worked_example(self, capsys):
@@ -109,6 +119,19 @@ class TestSeriesCommand:
             (0, 6), (1, 6), (2, 6), (3, 4), (4, 0), (5, 0),
         ]
 
+    @pytest.mark.parametrize(
+        "argv", [("--z-range", "-8,12"), ("--z-range=-8,12",)]
+    )
+    def test_negative_range_start(self, capsys, argv):
+        code, out, _ = run(
+            capsys, "series", "--weight", "2,1,4,3,2", "--pq", "2,3", *argv
+        )
+        assert code == 0
+        series = [(pt["z"], pt["gk_dimension"]) for pt in json.loads(out)["series"]]
+        assert [z for z, _ in series] == list(range(-8, 13))
+        assert series[8:14] == [(0, 6), (1, 6), (2, 6), (3, 4), (4, 0), (5, 0)]
+        assert all(g == 6 for z, g in series if z < 0)
+
     def test_bad_range(self, capsys):
         code, _, _ = run(
             capsys, "series", "--weight", "2,1,4,3,2", "--pq", "2,3",
@@ -134,6 +157,16 @@ class TestUnitaryCommand:
         obj = json.loads(out)
         assert obj["gk_dimension"] == 4
 
+    @pytest.mark.parametrize("argv", [("--z", "-1/2"), ("--z=-1/2",)])
+    def test_negative_z(self, capsys, argv):
+        code, out, _ = run(
+            capsys, "unitary", "--weight", "2,1,4,3,2", "--pq", "2,3", *argv
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["z"] == "-1/2"
+        assert obj["gk_dimension"] == 6
+
     def test_z_outside(self, capsys):
         code, out, _ = run(
             capsys, "unitary", "--weight", "2,1,4,3,2", "--pq", "2,3",
@@ -158,6 +191,20 @@ class TestVerifyOracleCommand:
         )
         assert code == 0
         assert "ok" in out
+
+    def test_rank_above_bound_is_domain_error(self, capsys):
+        code, out, _ = run(capsys, "verify-oracle", "--rank", "6")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "rank-bound-exceeded"
+        assert error["details"] == {"n": 6, "rank_bound": 5}
+
+    @pytest.mark.parametrize("rank", ["0", "-1", "x"])
+    def test_nonpositive_rank_is_parse_error(self, capsys, rank):
+        code, out, err = run(capsys, "verify-oracle", "--rank", rank)
+        assert code == 1
+        assert out == ""
+        assert "--rank" in err
 
 
 class TestBatchMode:

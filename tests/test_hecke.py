@@ -2,7 +2,6 @@
 
 from itertools import permutations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +19,7 @@ from gkdim import (
     multiply,
     rs_of_permutation,
 )
-from gkdim.hecke import _a_table
+from gkdim.hecke import _a_table, _polymat_mul
 
 V = LaurentPoly.v
 ONE = LaurentPoly.one()
@@ -209,23 +208,81 @@ class TestAFunction:
             )
 
 
-class TestKernels:
-    def test_backends_agree(self):
-        from gkdim import _akernel_py, kernels
+def dense_poly_matrices(size):
+    """size x size matrices of small integer Laurent polynomials, each a
+    dense list of rows of {degree: coeff} dicts (zero coefficients allowed)."""
+    poly = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=3)
+    row = st.lists(poly, min_size=size, max_size=size)
+    return st.lists(row, min_size=size, max_size=size)
 
-        rng = np.random.default_rng(7)
-        a = rng.integers(-9, 9, size=(4, 17, 17)).astype(np.int64)
-        b = rng.integers(-9, 9, size=(3, 17, 17)).astype(np.int64)
-        a[1] = 0  # exercise the zero-slice skip
-        expected = _akernel_py.polymat_matmul(a, b)
-        got = np.asarray(kernels.polymat_matmul(a, b))
-        assert np.array_equal(expected, got)
+
+def to_sparse(dense):
+    out = []
+    for row in dense:
+        sparse_row = {}
+        for z, poly in enumerate(row):
+            nonzero = {d: c for d, c in poly.items() if c}
+            if nonzero:
+                sparse_row[z] = nonzero
+        out.append(sparse_row)
+    return out
+
+
+def dense_reference(a, b, minus=()):
+    """a*b - sum of m*c, entry by entry over every (x, k, z)."""
+    size = len(a)
+    out = [[{} for _ in range(size)] for _ in range(size)]
+    for x in range(size):
+        for z in range(size):
+            cell = out[x][z]
+            for k in range(size):
+                for d1, c1 in a[x][k].items():
+                    for d2, c2 in b[k][z].items():
+                        cell[d1 + d2] = cell.get(d1 + d2, 0) + c1 * c2
+            for c, m in minus:
+                for d, coeff in c[x][z].items():
+                    cell[d] = cell.get(d, 0) - m * coeff
+    return to_sparse(out)
+
+
+class TestPolymatMul:
+    """The sparse product behind the a-function table, against the dense
+    definition of a product of polynomial matrices."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda size: st.tuples(
+                dense_poly_matrices(size),
+                dense_poly_matrices(size),
+                st.lists(
+                    st.tuples(dense_poly_matrices(size), st.integers(-3, 3)),
+                    max_size=2,
+                ),
+            )
+        )
+    )
+    def test_matches_dense_reference(self, case):
+        a, b, minus = case
+        got = _polymat_mul(
+            to_sparse(a), to_sparse(b), [(to_sparse(c), m) for c, m in minus]
+        )
+        assert got == dense_reference(a, b, minus)
+
+    def test_zero_row(self):
+        # a zero row of a gives a zero row; a zero row of b contributes nothing
+        a = [{}, {0: {1: 2}, 1: {0: 5}}]
+        b = [{1: {-1: 3}}, {}]
+        assert _polymat_mul(a, b) == [{}, {1: {0: 6}}]
 
     def test_degree_convolution(self):
-        from gkdim import _akernel_py
-
         # [[v]] * [[1 + v]] == [[v + v^2]] as 1x1 polynomial matrices
-        a = np.array([[[0]], [[1]]], dtype=np.int64)
-        b = np.array([[[1]], [[1]]], dtype=np.int64)
-        out = _akernel_py.polymat_matmul(a, b)
-        assert out.tolist() == [[[0]], [[1]], [[1]]]
+        assert _polymat_mul([{0: {1: 1}}], [{0: {0: 1, 1: 1}}]) == [
+            {0: {1: 1, 2: 1}}
+        ]
+
+    def test_cancelled_entries_are_dropped(self):
+        # [[v]] * [[v^-1]] - 1 * [[1]] == 0: no empty cell may remain
+        a = [{0: {1: 1}}]
+        b = [{0: {-1: 1}}]
+        assert _polymat_mul(a, b, [([{0: {0: 1}}], 1)]) == [{}]
