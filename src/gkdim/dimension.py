@@ -40,12 +40,12 @@ def congruence_decomposition(w: Weight) -> list[CongruenceClass]:
 
 def tableau_collection(w: Weight) -> list[Tableau]:
     """The insertion tableau of each congruence class, in class order."""
-    return [rs_pair(c.entries)[0] for c in congruence_decomposition(w)]
+    return list(gk_dimension(w).tableaux)
 
 
 def a_value(w: Weight) -> int:
     """Total column statistic over the tableau collection."""
-    return sum(t.shape().column_statistic() for t in tableau_collection(w))
+    return gk_dimension(w).a_value
 
 
 @dataclass(frozen=True)

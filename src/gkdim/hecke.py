@@ -208,11 +208,6 @@ def kl_expand(elt: HeckeElement) -> dict[Permutation, LaurentPoly]:
     return out
 
 
-def mu_value(y: Permutation, w: Permutation) -> int:
-    """Coefficient of v^-1 in the T_y coordinate of C_w (0 if absent)."""
-    return _kl_element(w).coeff(y)[-1]
-
-
 # --- bulk structure-constant degrees -------------------------------------
 #
 # Writing R_y for the matrix [h_{x,y,z}]_{x,z}, the expansions

@@ -35,8 +35,12 @@ def _require_pq_dominant(w: Weight, ctx: PQContext) -> None:
         )
 
 
+def _integral_across_split(w: Weight, ctx: PQContext) -> bool:
+    return (w.entries[0] - w.entries[ctx.p]).denominator == 1
+
+
 def _require_integral(w: Weight, ctx: PQContext) -> None:
-    if (w.entries[0] - w.entries[ctx.p]).denominator != 1:
+    if not _integral_across_split(w, ctx):
         raise NotIntegralError(
             "weight is not integral across the (p,q) split",
             i=1, j=ctx.p + 1,
@@ -322,7 +326,7 @@ def gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
     """
     _require_pq_dominant(w, ctx)
     n = ctx.n
-    if (w.entries[0] - w.entries[ctx.p]).denominator == 1:
+    if _integral_across_split(w, ctx):
         tab = gk_dimension(w).tableaux[0]
         second = tab.column(2)
         xi = xi_signature(w, ctx)
@@ -450,7 +454,7 @@ def gkdim_series(
     values = [g for _, g in series]
     if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
         raise RuntimeError(f"series is not weakly decreasing: {values}")
-    if (tilde_w.entries[0] - tilde_w.entries[ctx.p]).denominator == 1:
+    if _integral_across_split(tilde_w, ctx):
         threshold = tilde_w.entries[ctx.p] - tilde_w.entries[ctx.p - 1] + 1
         if any(g != 0 for z, g in series if z > threshold):
             raise RuntimeError(f"nonzero value beyond threshold {threshold}")

@@ -111,20 +111,7 @@ class Tableau:
         (((2, 2), (3, 5)), (2, 2))
         """
         rows = [list(r) for r in self.rows]
-        i = 0
-        while True:
-            if i == len(rows):
-                rows.append([x])
-                box = (i + 1, 1)
-                break
-            row = rows[i]
-            j = _bump_position(row, x)
-            if j is None:
-                row.append(x)
-                box = (i + 1, len(row))
-                break
-            x, row[j] = row[j], x
-            i += 1
+        box = _row_insert(rows, x)
         return Tableau(rows), box
 
     def is_standard(self) -> bool:
@@ -157,10 +144,19 @@ class Tableau:
         return [[str(e) for e in r] for r in self.rows]
 
 
-def _bump_position(row: Sequence[Entry], x: Entry) -> int | None:
-    """Index of the leftmost entry strictly bigger than x, or None."""
-    j = bisect_right(row, x)
-    return j if j < len(row) else None
+def _row_insert(rows: list[list[Entry]], x: Entry) -> tuple[int, int]:
+    """Schensted row insertion of x into mutable rows, in place.
+
+    Returns the 1-indexed (row, column) of the added box.
+    """
+    for i, row in enumerate(rows, start=1):
+        j = bisect_right(row, x)
+        if j == len(row):
+            row.append(x)
+            return i, j + 1
+        x, row[j] = row[j], x
+    rows.append([x])
+    return len(rows), 1
 
 
 def _validate(rows: tuple[tuple[Entry, ...], ...]) -> None:
@@ -185,12 +181,12 @@ def rs_pair(seq: Iterable[Entry]) -> tuple[Tableau, Tableau]:
     >>> q.rows
     ((1, 2), (3, 4), (5,))
     """
-    p = Tableau()
+    p_rows: list[list[Entry]] = []
     q_rows: list[list[int]] = []
     for k, x in enumerate(seq, start=1):
-        p, (i, j) = p.insert(x)
+        i, _ = _row_insert(p_rows, x)
         if i > len(q_rows):
             q_rows.append([k])
         else:
             q_rows[i - 1].append(k)
-    return p, Tableau(q_rows)
+    return Tableau(p_rows), Tableau(q_rows)

@@ -15,6 +15,50 @@ entry_lists = st.lists(
     max_size=12,
 )
 
+# Small ints mixed with halves, so that repeated entries are common.
+repeat_heavy_lists = st.lists(
+    st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=2),
+    ),
+    max_size=20,
+)
+
+
+def reference_schensted(seq):
+    """(P rows, Q rows, added boxes) by plain Schensted row insertion.
+
+    Each row is scanned left to right for the first entry strictly larger
+    than the one being inserted, and both tableaux are rebuilt as tuples
+    after every entry.
+    """
+    p, q, boxes = (), (), []
+    for k, x in enumerate(seq, start=1):
+        rows = [list(r) for r in p]
+        i = 0
+        while True:
+            if i == len(rows):
+                rows.append([x])
+                box = (i + 1, 1)
+                break
+            row = rows[i]
+            bigger = [j for j, e in enumerate(row) if e > x]
+            if not bigger:
+                row.append(x)
+                box = (i + 1, len(row))
+                break
+            x, row[bigger[0]] = row[bigger[0]], x
+            i += 1
+        p = tuple(tuple(r) for r in rows)
+        q_rows = [list(r) for r in q]
+        if box[0] > len(q_rows):
+            q_rows.append([k])
+        else:
+            q_rows[box[0] - 1].append(k)
+        q = tuple(tuple(r) for r in q_rows)
+        boxes.append(box)
+    return p, q, boxes
+
 
 class TestShape:
     def test_row_column_views(self):
@@ -111,6 +155,25 @@ class TestRSPair:
             assert pair not in seen, (ol, seen[pair])
             seen[pair] = ol
             assert pair[0].is_standard() and pair[1].is_standard()
+
+
+class TestAgainstReference:
+    @given(repeat_heavy_lists)
+    def test_rs_pair(self, seq):
+        p_ref, q_ref, _ = reference_schensted(seq)
+        p, q = rs_pair(seq)
+        assert p.rows == p_ref
+        assert q.rows == q_ref
+
+    @given(repeat_heavy_lists)
+    def test_folded_insert(self, seq):
+        p_ref, _, boxes_ref = reference_schensted(seq)
+        t, boxes = Tableau(), []
+        for x in seq:
+            t, box = t.insert(x)
+            boxes.append(box)
+        assert t.rows == p_ref
+        assert boxes == boxes_ref
 
 
 class TestRendering:
