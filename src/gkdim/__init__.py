@@ -23,6 +23,7 @@ from .errors import (
     OutsideUnitaryIntervalError,
     ParseError,
     RankBoundError,
+    ZRangeBoundError,
 )
 from .hecke import (
     DEFAULT_RANK_BOUND,
@@ -34,6 +35,7 @@ from .hecke import (
     multiply,
 )
 from .hermitian import (
+    Z_RANGE_BOUND,
     AlgebraWord,
     BallSignature,
     HermitianReport,
@@ -96,6 +98,8 @@ __all__ = [
     "Tableau",
     "UnitaryInterval",
     "Weight",
+    "ZRangeBoundError",
+    "Z_RANGE_BOUND",
     "a_function_definitional",
     "a_value",
     "a_value_of_permutation",

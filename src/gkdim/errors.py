@@ -48,6 +48,12 @@ class RankBoundError(DomainError):
     code = "rank-bound-exceeded"
 
 
+class ZRangeBoundError(DomainError):
+    """z-series asked for more points than its configured bound."""
+
+    code = "z-range-bound-exceeded"
+
+
 class OutsideUnitaryIntervalError(DomainError):
     """z is outside the unitary interval, where no closed form is asserted."""
 

@@ -10,17 +10,26 @@ Writing C_x C_y = sum_z h_{x,y,z} C_z, the a-function is
 This module computes a(z) literally from that definition.  It exists as an
 independent small-rank oracle for the tableau-based a-value, so nothing here
 may depend on Robinson-Schensted theory.  Ranks are gated by a configurable
-bound (default 5): the full structure-constant table is the hot path.  It is
-built once per rank by sparse products against the right multiplications by
+bound (default 5).
+
+The KL basis is built once per rank, with S_n indexed by position in the
+length order: C_w = C_{w'} C_s - (constant terms at shorter y, stripped
+longest first) along the last right descent s of w, each C_w a dict
+{y: {degree: coeff}} of its nonzero T_y coefficients.  HeckeElements are
+made from it only on request.  The structure-constant table is the hot
+path.  It is built by sparse products against the right multiplications by
 the generators C_s, one dict of nonzero {degree: coeff} entries per matrix
-cell, and it needs nothing beyond the standard library.
+cell.  Each R_y = [h_{x,y,z}]_{x,z} is folded into the per-column maximum
+degree as soon as it is built and dropped after the last product that reads
+it.  Nothing here needs more than the standard library.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from typing import Mapping, Sequence
+from itertools import permutations
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import RankBoundError
 from .laurent import LaurentPoly
@@ -28,8 +37,6 @@ from .permutations import Permutation
 
 DEFAULT_RANK_BOUND = 5
 
-_V = LaurentPoly({1: 1})
-_VINV = LaurentPoly({-1: 1})
 _V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
 
 
@@ -116,21 +123,6 @@ def _left_mul_gen(i: int, elt: HeckeElement) -> HeckeElement:
     return HeckeElement(elt.n, out)
 
 
-def _right_mul_gen(elt: HeckeElement, i: int) -> HeckeElement:
-    """elt * T_{s_i}."""
-    out: dict[Permutation, LaurentPoly] = {}
-
-    def add(w, p):
-        out[w] = out.get(w, LaurentPoly.zero()) + p
-
-    for w, p in elt.terms.items():
-        ws = w.times_s(i)
-        add(ws, p)
-        if ws.length() < w.length():
-            add(w, p * _V_MINUS_VINV)
-    return HeckeElement(elt.n, out)
-
-
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """The bilinear product determined by the defining relations."""
     if a.n != b.n:
@@ -165,26 +157,99 @@ def _check_rank(n: int, rank_bound: int) -> None:
         )
 
 
+# --- the KL basis, int-indexed --------------------------------------------
+#
+# Elements of S_n are indexed by their position in the length order, ties
+# broken by one-line notation.  An element of the algebra is a dict
+# {y: {degree: coeff}} holding the nonzero coefficients of the T_y; the same
+# shape serves as one sparse row {z: {degree: coeff}} of a matrix below.
+
+_Row = dict[int, dict[int, int]]
+
+
+class _KLBasis(NamedTuple):
+    perms: tuple[Permutation, ...]  # in the length order
+    index: dict[tuple[int, ...], int]  # one-line notation -> position
+    rmul: tuple[tuple[int, ...], ...]  # rmul[k][i]: position of w_k s_{i+1}
+    basis: tuple[_Row, ...]  # basis[k]: C_{w_k} in the T basis
+
+
+def _add_shifted(acc: _Row, y: int, poly: dict[int, int], c: int, shift: int) -> None:
+    """acc[y] += c * v^shift * poly."""
+    cell = acc.setdefault(y, {})
+    for d, coeff in poly.items():
+        e = d + shift
+        cell[e] = cell.get(e, 0) + c * coeff
+
+
+def _last_descent(rmul: Sequence[Sequence[int]], k: int) -> int:
+    """The last right descent i of w_k (w_k s_{i+1} is shorter), 0-based.
+    Positions follow the length order, so w s is shorter iff it comes first."""
+    return max(i for i, ws in enumerate(rmul[k]) if ws < k)
+
+
+@lru_cache(maxsize=None)
+def _kl_basis(n: int) -> _KLBasis:
+    # permutations() is lexicographic and sorted() is stable, so this is the
+    # length order with ties broken by one-line notation.
+    perms = tuple(sorted(map(Permutation, permutations(range(1, n + 1))),
+                         key=Permutation.length))
+    index = {w.one_line: k for k, w in enumerate(perms)}
+    rmul = tuple(
+        tuple(index[w.times_s(i).one_line] for i in range(1, n)) for w in perms
+    )
+    basis: list[_Row] = [{0: {0: 1}}]
+    for k in range(1, len(perms)):
+        i = _last_descent(rmul, k)
+        # C_{w'} C_s in the T basis, with w' = w s and C_s = T_s + v^-1.
+        d: _Row = {}
+        for y, p in basis[rmul[k][i]].items():
+            ys = rmul[y][i]
+            _add_shifted(d, ys, p, 1, 0)
+            if ys < y:
+                # T_y T_s = T_{ys} + (v - v^-1) T_y when ys is shorter
+                _add_shifted(d, y, p, 1, 1)
+                _add_shifted(d, y, p, -1, -1)
+            _add_shifted(d, y, p, 1, -1)
+        # Strip constant terms at shorter elements, longest first, so the
+        # result is congruent to T_w modulo strictly negative powers of v.
+        # Subtracting c C_y touches only y and shorter elements, which come
+        # later; since C_y - T_y lies in v^-1 Z[v^-1], it changes no other
+        # constant term, so the order does not change the result.
+        for y in range(k - 1, -1, -1):
+            c = d.get(y, {}).get(0)
+            if c:
+                for z, q in basis[y].items():
+                    _add_shifted(d, z, q, -c, 0)
+        cw: _Row = {}
+        for y, p in d.items():
+            p = {e: coeff for e, coeff in p.items() if coeff}
+            if p:
+                cw[y] = p
+        _check_kl_element(perms, k, cw)
+        basis.append(cw)
+    return _KLBasis(perms, index, rmul, tuple(basis))
+
+
+def _check_kl_element(perms: Sequence[Permutation], k: int, cw: _Row) -> None:
+    w = perms[k].one_line
+    if cw.get(k) != {0: 1}:
+        raise RuntimeError(
+            f"C_w for w={w}: coefficient of T_w is {LaurentPoly(cw.get(k, {}))}, not 1"
+        )
+    for y, p in cw.items():
+        if y != k and max(p) >= 0:
+            raise RuntimeError(
+                f"C_w for w={w}: coefficient {LaurentPoly(p)} of "
+                f"T_y for y={perms[y].one_line} has a non-negative exponent"
+            )
+
+
 @lru_cache(maxsize=None)
 def _kl_element(w: Permutation) -> HeckeElement:
-    n = w.n
-    descents = w.right_descents()
-    if not descents:
-        return HeckeElement.t(w)
-    i = descents[-1]
-    shorter = _kl_element(w.times_s(i))
-    # C_{w'} C_s in the T basis, with C_s = T_s + v^-1.
-    d = _right_mul_gen(shorter, i) + shorter.scale(_VINV)
-    # Strip constant terms at shorter elements, longest first, so the result
-    # is congruent to T_w modulo strictly negative powers of v.
-    for length in range(w.length() - 1, -1, -1):
-        for y in [y for y in d.terms if y.length() == length]:
-            c = d.terms[y][0]
-            if c:
-                d = d - _kl_element(y).scale(c)
-    assert d.coeff(w) == LaurentPoly.one()
-    assert all(p.only_negative_exponents() for y, p in d.terms.items() if y != w)
-    return d
+    kl = _kl_basis(w.n)
+    cw = kl.basis[kl.index[w.one_line]]
+    return HeckeElement(w.n, {kl.perms[y]: LaurentPoly(p) for y, p in cw.items()})
 
 
 def kl_basis_element(
@@ -196,8 +261,11 @@ def kl_basis_element(
     return _kl_element(w)
 
 
-def kl_expand(elt: HeckeElement) -> dict[Permutation, LaurentPoly]:
+def kl_expand(
+    elt: HeckeElement, *, rank_bound: int = DEFAULT_RANK_BOUND
+) -> dict[Permutation, LaurentPoly]:
     """Coefficients of elt in the KL basis (triangular elimination)."""
+    _check_rank(elt.n, rank_bound)
     out: dict[Permutation, LaurentPoly] = {}
     rest = elt
     while rest.terms:
@@ -214,11 +282,9 @@ def kl_expand(elt: HeckeElement) -> dict[Permutation, LaurentPoly]:
 #   C_x C_s   = (v + v^-1) C_x                      if xs < x
 #   C_x C_s   = C_{xs} + sum_{zs<z} mu(z,x) C_z     if xs > x
 # give R_{y's} = R_{y'} R_s - sum_{zs<z} mu(z,y') R_z, so the whole table
-# follows from products against the sparse R_s.  Elements are indexed by
-# their position in the length order, and a matrix is stored sparsely as one
-# row per x: a dict {z: {degree: coeff}} holding only the nonzero entries.
-
-_Row = dict[int, dict[int, int]]
+# follows from products against the sparse R_s.  A matrix is stored sparsely
+# as one row per x, indexed as in the KL basis: a dict {z: {degree: coeff}}
+# holding only the nonzero entries.
 
 
 def _polymat_mul(
@@ -252,14 +318,6 @@ def _polymat_mul(
     return out
 
 
-def _all_perms_by_length(n: int) -> list[Permutation]:
-    from itertools import permutations as iperm
-
-    perms = [Permutation(p) for p in iperm(range(1, n + 1))]
-    perms.sort(key=lambda p: (p.length(), p.one_line))
-    return perms
-
-
 _table_lock = threading.Lock()
 
 
@@ -270,52 +328,67 @@ def _a_table(n: int) -> dict[tuple[int, ...], int]:
 
 
 def _build_a_table(n: int) -> dict[tuple[int, ...], int]:
-    perms = _all_perms_by_length(n)
-    index = {w: k for k, w in enumerate(perms)}
-    size = len(perms)
-    descents = [set(w.right_descents()) for w in perms]
+    kl = _kl_basis(n)
+    rmul = kl.rmul
+    size = len(kl.perms)
 
-    # mu pairs, grouped by the longer element
-    mu: list[list[tuple[int, int]]] = []
-    for w in perms:
-        cw = _kl_element(w)
-        mu.append(
-            [(index[y], p[-1]) for y, p in cw.terms.items() if y != w and p[-1]]
-        )
+    # mu pairs (z, mu(z, w)): the v^-1 coefficients of C_w, grouped by w
+    mu = [
+        [(z, p[-1]) for z, p in cw.items() if z != k and p.get(-1)]
+        for k, cw in enumerate(kl.basis)
+    ]
 
     # right multiplication by C_s, one sparse matrix per generator
     r_s: list[list[_Row]] = []
-    for i in range(1, n):
+    for i in range(n - 1):
         rows: list[_Row] = []
-        for xi, x in enumerate(perms):
-            if i in descents[xi]:
-                rows.append({xi: {-1: 1, 1: 1}})
+        for x in range(size):
+            xs = rmul[x][i]
+            if xs < x:
+                rows.append({x: {-1: 1, 1: 1}})
             else:
-                row: _Row = {index[x.times_s(i)]: {0: 1}}
-                for z, m in mu[xi]:
-                    if i in descents[z]:
+                row: _Row = {xs: {0: 1}}
+                for z, m in mu[x]:
+                    if rmul[z][i] < z:
                         row[z] = {0: m}
                 rows.append(row)
         r_s.append(rows)
 
-    r: list[list[_Row] | None] = [None] * size
-    r[0] = [{x: {0: 1}} for x in range(size)]
-    for k, w in enumerate(perms):
-        if r[k] is not None:
-            continue
-        i = max(descents[k])
-        shorter = index[w.times_s(i)]
-        minus = [(r[z], m) for z, m in mu[shorter] if i in descents[z]]
-        r[k] = _polymat_mul(r[shorter], r_s[i - 1], minus)
+    # Each R_{w_k} is built from R_{w_k s} and its mu-partners along the last
+    # right descent s.  Record the last step that reads each R_y, so that it
+    # can be dropped right after; only the largest degree per column is kept.
+    steps = []
+    last_read: dict[int, int] = {}
+    for k in range(1, size):
+        i = _last_descent(rmul, k)
+        shorter = rmul[k][i]
+        minus = [(z, m) for z, m in mu[shorter] if rmul[z][i] < z]
+        steps.append((k, i, shorter, minus))
+        last_read[shorter] = k
+        for z, _ in minus:
+            last_read[z] = k
 
     best = [-1] * size
-    for mat in r:
+
+    def fold(mat: list[_Row]) -> None:
         for row in mat:
             for z, poly in row.items():
                 d = max(poly)
                 if d > best[z]:
                     best[z] = d
-    return {w.one_line: best[index[w]] for w in perms}
+
+    r: list[list[_Row] | None] = [None] * size
+    r[0] = [{x: {0: 1}} for x in range(size)]
+    fold(r[0])
+    for k, i, shorter, minus in steps:
+        mat = _polymat_mul(r[shorter], r_s[i], [(r[z], m) for z, m in minus])
+        fold(mat)
+        if k in last_read:
+            r[k] = mat
+        for y in (shorter, *(z for z, _ in minus)):
+            if last_read[y] == k:
+                r[y] = None
+    return {w.one_line: best[k] for k, w in enumerate(kl.perms)}
 
 
 def a_function_definitional(

@@ -22,6 +22,7 @@ from .errors import (
     NotIntegralError,
     NotPQDominantError,
     OutsideUnitaryIntervalError,
+    ZRangeBoundError,
 )
 from .weights import PQContext, Weight, add_z_zeta, pq_dominance_violation
 
@@ -436,17 +437,28 @@ def unitary_gkdim(tilde_w: Weight, ctx: PQContext, z: Fraction | int) -> int:
     return value
 
 
+# Each point of a z-series is one full su(p,q) computation.
+Z_RANGE_BOUND = 1000
+
+
 def gkdim_series(
     tilde_w: Weight, ctx: PQContext, z_from: int, z_to: int
 ) -> list[tuple[int, int]]:
     """(z, GKdim) for integer z in [z_from, z_to].
 
     The values are guaranteed weakly decreasing in z and, for integral
-    weights, zero beyond the gap threshold; both are asserted.
+    weights, zero beyond the gap threshold; both are asserted.  A range of
+    more than Z_RANGE_BOUND points is refused before any computation.
     """
     _require_pq_dominant(tilde_w, ctx)
     if z_from > z_to:
         raise DomainError("empty range", z_from=z_from, z_to=z_to)
+    if z_to - z_from + 1 > Z_RANGE_BOUND:
+        raise ZRangeBoundError(
+            f"series limited to {Z_RANGE_BOUND} points, "
+            f"got {z_to - z_from + 1}",
+            z_from=z_from, z_to=z_to, z_range_bound=Z_RANGE_BOUND,
+        )
     series = [
         (z, gk_pq(add_z_zeta(tilde_w, ctx, z), ctx).gk_dimension)
         for z in range(z_from, z_to + 1)

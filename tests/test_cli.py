@@ -2,10 +2,12 @@
 
 import io
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from gkdim import Z_RANGE_BOUND
 from gkdim.cli import main
 
 
@@ -131,6 +133,31 @@ class TestSeriesCommand:
         assert [z for z, _ in series] == list(range(-8, 13))
         assert series[8:14] == [(0, 6), (1, 6), (2, 6), (3, 4), (4, 0), (5, 0)]
         assert all(g == 6 for z, g in series if z < 0)
+
+    @pytest.mark.parametrize(
+        "argv", [("--z-range=0,1000000000",), ("--z-range", "-1000000000,0")]
+    )
+    def test_range_above_bound_is_domain_error(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, _ = run(
+            capsys, "series", "--weight", "2,1,4,3,2", "--pq", "2,3", *argv
+        )
+        assert time.perf_counter() - t0 < 1
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "z-range-bound-exceeded"
+        assert error["details"]["z_range_bound"] == Z_RANGE_BOUND
+
+    def test_range_above_bound_in_batch_is_per_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("2,1,4,3,2\n2,1,4,3,2\n"))
+        code, out, _ = run(
+            capsys, "series", "--batch", "--pq", "2,3", "--z-range=0,1000000000"
+        )
+        assert code == 2
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [obj["error"]["code"] for obj in lines] == [
+            "z-range-bound-exceeded"
+        ] * 2
 
     def test_bad_range(self, capsys):
         code, _, _ = run(

@@ -1,11 +1,17 @@
 """Hecke algebra relations, KL basis characterization, a-function oracle."""
 
+import os
+import subprocess
+import sys
+from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gkdim
 from gkdim import (
     HeckeElement,
     LaurentPoly,
@@ -19,10 +25,11 @@ from gkdim import (
     multiply,
     rs_of_permutation,
 )
-from gkdim.hecke import _a_table, _polymat_mul
+from gkdim.hecke import _a_table, _check_kl_element, _kl_basis, _polymat_mul
 
 V = LaurentPoly.v
 ONE = LaurentPoly.one()
+V_MINUS_VINV = V(1) - V(-1)
 
 
 def t(*ol):
@@ -141,9 +148,91 @@ class TestKLBasis:
         with pytest.raises(RankBoundError):
             a_function_definitional(Permutation((1, 2, 3, 4, 5)), rank_bound=4)
 
+    def test_expand_rank_bound(self):
+        with pytest.raises(RankBoundError):
+            kl_expand(HeckeElement.t(Permutation.identity(6)))
+        with pytest.raises(RankBoundError):
+            kl_expand(HeckeElement.t(Permutation.identity(5)), rank_bound=4)
+
 
 def bar_invariant(c):
     return bar_involution(c) == c
+
+
+def right_mul_generator(elt, i):
+    """elt * T_{s_i}."""
+    out = {}
+
+    def add(w, p):
+        out[w] = out.get(w, LaurentPoly.zero()) + p
+
+    for w, p in elt.terms.items():
+        ws = w.times_s(i)
+        add(ws, p)
+        if ws.length() < w.length():
+            add(w, p * V_MINUS_VINV)
+    return HeckeElement(elt.n, out)
+
+
+@lru_cache(maxsize=None)
+def reference_kl_element(w):
+    """C_w by the Permutation-keyed recursion that the int-indexed basis
+    replaced: C_{w'} C_s with C_s = T_s + v^-1 along the last right descent,
+    then the constant terms at shorter y stripped, longest first."""
+    descents = w.right_descents()
+    if not descents:
+        return HeckeElement.t(w)
+    i = descents[-1]
+    shorter = reference_kl_element(w.times_s(i))
+    d = right_mul_generator(shorter, i) + shorter.scale(V(-1))
+    for length in range(w.length() - 1, -1, -1):
+        for y in [y for y in d.terms if y.length() == length]:
+            c = d.terms[y][0]
+            if c:
+                d = d - reference_kl_element(y).scale(c)
+    assert d.coeff(w) == ONE
+    assert all(p.only_negative_exponents() for y, p in d.terms.items() if y != w)
+    return d
+
+
+class TestKLBasisAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_reference_recursion(self, n):
+        for ol in permutations(range(1, n + 1)):
+            w = Permutation(ol)
+            assert kl_basis_element(w) == reference_kl_element(w), ol
+
+    def test_index_follows_length_order(self):
+        kl = _kl_basis(4)
+        keys = [(w.length(), w.one_line) for w in kl.perms]
+        assert keys == sorted(keys) and len(keys) == 24
+        assert all(kl.index[w.one_line] == k for k, w in enumerate(kl.perms))
+        for k, w in enumerate(kl.perms):
+            assert [kl.perms[j] for j in kl.rmul[k]] == [
+                w.times_s(i) for i in range(1, 4)
+            ]
+
+    def test_invariant_failures_name_the_element(self):
+        perms = _kl_basis(2).perms
+        with pytest.raises(RuntimeError, match=r"w=\(2, 1\).*not 1"):
+            _check_kl_element(perms, 1, {1: {0: 2}, 0: {-1: 1}})
+        with pytest.raises(RuntimeError, match=r"w=\(2, 1\).*y=\(1, 2\)"):
+            _check_kl_element(perms, 1, {1: {0: 1}, 0: {0: 1, -1: 1}})
+
+    def test_invariant_checks_survive_optimize(self):
+        code = (
+            "from gkdim.hecke import _check_kl_element, _kl_basis\n"
+            "try:\n"
+            "    _check_kl_element(_kl_basis(2).perms, 1, {1: {0: 1}, 0: {1: 1}})\n"
+            "except RuntimeError:\n"
+            "    print('raised')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(gkdim.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "raised\n"
 
 
 class TestAFunction:
@@ -198,6 +287,15 @@ class TestAFunction:
             )
         for shape, values in by_shape.items():
             assert len(values) == 1, (shape, values)
+
+    @pytest.mark.slow
+    @pytest.mark.rank6
+    def test_rank6_matches_tableau_rule(self):
+        for ol in permutations(range(1, 7)):
+            sigma = Permutation(ol)
+            assert a_function_definitional(
+                sigma, rank_bound=6
+            ) == a_value_of_permutation(sigma), ol
 
     @pytest.mark.parametrize("n", range(2, 5))
     def test_invariant_under_inverse(self, n):

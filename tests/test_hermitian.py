@@ -18,6 +18,8 @@ from gkdim import (
     OutsideUnitaryIntervalError,
     PQContext,
     Weight,
+    Z_RANGE_BOUND,
+    ZRangeBoundError,
     algebra_normal_form,
     associated_variety,
     ball_model_m,
@@ -33,6 +35,7 @@ from gkdim import (
     unitary_interval,
     xi_signature,
 )
+import gkdim.hermitian
 from gkdim.weights import add_z_zeta
 
 from helpers import (
@@ -409,6 +412,28 @@ class TestSeries:
     def test_empty_range_rejected(self):
         with pytest.raises(DomainError):
             gkdim_series(mu_tilde(2, 3), PQContext(2, 3), 3, 1)
+
+    def test_range_above_bound_rejected_before_any_point(self, monkeypatch):
+        def no_point(*args):
+            raise AssertionError("gk_pq called for an oversized range")
+
+        monkeypatch.setattr(gkdim.hermitian, "gk_pq", no_point)
+        with pytest.raises(ZRangeBoundError) as info:
+            gkdim_series(mu_tilde(2, 3), PQContext(2, 3), 0, 10**9)
+        assert info.value.code == "z-range-bound-exceeded"
+        assert info.value.details == {
+            "z_from": 0, "z_to": 10**9, "z_range_bound": Z_RANGE_BOUND,
+        }
+
+    def test_bound_counts_points(self, monkeypatch):
+        monkeypatch.setattr(gkdim.hermitian, "Z_RANGE_BOUND", 6)
+        ctx = PQContext(2, 3)
+        assert len(gkdim_series(mu_tilde(2, 3), ctx, 0, 5)) == 6
+        assert len(gkdim_series(mu_tilde(2, 3), ctx, -3, 2)) == 6
+        with pytest.raises(ZRangeBoundError):
+            gkdim_series(mu_tilde(2, 3), ctx, 0, 6)
+        with pytest.raises(ZRangeBoundError):
+            gkdim_series(mu_tilde(2, 3), ctx, -4, 2)
 
     def test_monotone_and_threshold(self):
         rng = random.Random(23)
