@@ -17,11 +17,15 @@ length order: C_w = C_{w'} C_s - (constant terms at shorter y, stripped
 longest first) along the last right descent s of w, each C_w a dict
 {y: {degree: coeff}} of its nonzero T_y coefficients.  HeckeElements are
 made from it only on request.  The structure-constant table is the hot
-path.  It is built by sparse products against the right multiplications by
-the generators C_s, one dict of nonzero {degree: coeff} entries per matrix
-cell.  Each R_y = [h_{x,y,z}]_{x,z} is folded into the per-column maximum
-degree as soon as it is built and dropped after the last product that reads
-it.  Nothing here needs more than the standard library.
+path.  Each R_y = [h_{x,y,z}]_{x,z} is built by right-multiplying a shorter
+R_{y'} by a generator C_s in place, row by row, from the KL basis's w*s
+table and mu values; no matrix of C_s is formed and no general matrix
+product runs.  Each matrix cell is one int, its Laurent polynomial p packed
+as p(2^B) 2^(B D), with D = l(w0) and B derived from an a-priori bound on
+the coefficients, so the largest degree is read off the bit length.  Each
+R_y is folded into the per-column maximum degree as soon as it is built and
+dropped after the last step that reads it.  Nothing here needs more than the
+standard library.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import threading
 from functools import lru_cache
 from itertools import permutations
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import RankBoundError
 from .laurent import LaurentPoly
@@ -161,8 +165,7 @@ def _check_rank(n: int, rank_bound: int) -> None:
 #
 # Elements of S_n are indexed by their position in the length order, ties
 # broken by one-line notation.  An element of the algebra is a dict
-# {y: {degree: coeff}} holding the nonzero coefficients of the T_y; the same
-# shape serves as one sparse row {z: {degree: coeff}} of a matrix below.
+# {y: {degree: coeff}} holding the nonzero coefficients of the T_y.
 
 _Row = dict[int, dict[int, int]]
 
@@ -281,43 +284,135 @@ def kl_expand(elt: HeckeElement) -> dict[Permutation, LaurentPoly]:
 # --- bulk structure-constant degrees -------------------------------------
 #
 # Writing R_y for the matrix [h_{x,y,z}]_{x,z}, the expansions
-#   C_x C_s   = (v + v^-1) C_x                      if xs < x
-#   C_x C_s   = C_{xs} + sum_{zs<z} mu(z,x) C_z     if xs > x
-# give R_{y's} = R_{y'} R_s - sum_{zs<z} mu(z,y') R_z, so the whole table
-# follows from products against the sparse R_s.  A matrix is stored sparsely
-# as one row per x, indexed as in the KL basis: a dict {z: {degree: coeff}}
-# holding only the nonzero entries.
+#   C_j C_s   = (v + v^-1) C_j                      if js < j
+#   C_j C_s   = C_{js} + sum_{zs<z} mu(z,j) C_z     if js > j
+# give R_{y's} = R_{y'} C_s - sum_{zs<z} mu(z,y') R_z.  Row x of R_{y'} C_s
+# comes straight from those expansions: an entry p at column j adds
+# (v + v^-1) p to column j if js < j, and otherwise p to column js and
+# mu(z,j) p to each column z with zs < z.  A matrix is stored sparsely as one
+# row per x, indexed as in the KL basis: a dict {z: cell} holding only the
+# nonzero entries.
+#
+# A cell packs the Laurent polynomial p into one int, P = p(2^B) 2^(B D), so
+# the recursion needs only integer operations: P + Q, m * P, and
+# (P << B) + (P >> B) for (v + v^-1) p.  Both widths come from proofs:
+# - D = l(w0).  Each step shifts degrees by at most one and subtracts only
+#   shorter R_z, so the degrees of R_y lie within +-l(y).  Only R_y with
+#   y != w0 are multiplied by v^-1; their degrees are at least 1 - D, so
+#   their P are multiples of 2^B and P >> B is exact.
+# - B = bound.bit_length() + 2, with bound an a-priori bound on |coeff| over
+#   every cell (see _table_plan).  While every |coeff| < 2^(B-2), p = 0 iff
+#   P == 0, and a nonzero P with largest degree t has a bit length (of |P|)
+#   in [B (t + D), B (t + D) + B - 2], so t = P.bit_length() // B - D.
 
 
-def _polymat_mul(
-    a: list[_Row], b: list[_Row], minus: Sequence[tuple[list[_Row], int]] = ()
-) -> list[_Row]:
-    """a*b - sum of m*c over (c, m) in minus, for sparse matrices of Laurent
-    polynomials: row x of a*b is sum over k of a[x][k] * b[k]."""
-    out = []
-    for x, row in enumerate(a):
-        acc: _Row = {}
-        for k, p in row.items():
-            for z, q in b[k].items():
-                cell = acc.get(z)
-                if cell is None:
-                    cell = acc[z] = {}
-                for d1, c1 in p.items():
-                    for d2, c2 in q.items():
-                        d = d1 + d2
-                        cell[d] = cell.get(d, 0) + c1 * c2
-        for c, m in minus:
-            for z, poly in c[x].items():
-                cell = acc.setdefault(z, {})
-                for d, coeff in poly.items():
-                    cell[d] = cell.get(d, 0) - m * coeff
-        nonzero: _Row = {}
-        for z, poly in acc.items():
-            poly = {d: coeff for d, coeff in poly.items() if coeff}
-            if poly:
-                nonzero[z] = poly
-        out.append(nonzero)
-    return out
+class _TablePlan(NamedTuple):
+    mu: list[list[tuple[int, int]]]  # mu[k]: pairs (z, mu(z, w_k)), z < k
+    # (k, i, shorter, minus): R_{w_k} from R_shorter, shorter = w_k s_{i+1},
+    # less m * R_z for (z, m) in minus
+    steps: list[tuple[int, int, int, list[tuple[int, int]]]]
+    last_read: dict[int, int]  # y -> the last step k that reads R_y
+    bound: int  # bounds |coeff| in every cell of every R_y
+    d: int  # l(w0), the degree offset of a packed cell
+
+    @property
+    def b(self) -> int:
+        return self.bound.bit_length() + 2
+
+
+def _table_plan(kl: _KLBasis) -> _TablePlan:
+    rmul = kl.rmul
+    size = len(kl.perms)
+    gens = range(len(rmul[0]))
+
+    # mu pairs (z, mu(z, w)): the v^-1 coefficients of C_w, grouped by w
+    mu = [
+        [(z, p[-1]) for z, p in cw.items() if z != k and p.get(-1)]
+        for k, cw in enumerate(kl.basis)
+    ]
+
+    # Each R_{w_k} is built from R_{w_k s} and its mu-partners along the last
+    # right descent s.  Record the last step that reads each R_y, so that it
+    # can be dropped right after.
+    steps = []
+    last_read: dict[int, int] = {}
+    for k in range(1, size):
+        i = _last_descent(rmul, k)
+        shorter = rmul[k][i]
+        minus = [(z, m) for z, m in mu[shorter] if rmul[z][i] < z]
+        steps.append((k, i, shorter, minus))
+        last_read[shorter] = k
+        for z, _ in minus:
+            last_read[z] = k
+
+    # The column weights of right multiplication by C_s: column z (zs < z)
+    # holds v + v^-1 from j = z, 1 from j = zs and mu(z,j) from each j with
+    # js > j.  A coefficient of R_{y'} C_s is at most the largest column
+    # weight times the largest |coeff| of R_{y'}.
+    weight = [[3 if rmul[z][i] < z else 0 for z in range(size)] for i in gens]
+    for j, cw in enumerate(mu):
+        for i in gens:
+            if rmul[j][i] > j:
+                for z, m in cw:
+                    if rmul[z][i] < z:
+                        weight[i][z] += abs(m)
+    col_weight = [max(w) for w in weight]
+    largest = [1] * size
+    for k, i, shorter, minus in steps:
+        largest[k] = col_weight[i] * largest[shorter] + sum(
+            abs(m) * largest[z] for z, m in minus
+        )
+    n = kl.perms[0].n
+    return _TablePlan(mu, steps, last_read, max(largest), n * (n - 1) // 2)
+
+
+def _structure_matrices(
+    kl: _KLBasis, plan: _TablePlan
+) -> Iterator[tuple[int, list[dict[int, int]]]]:
+    """Yield (k, R_{w_k}) with packed cells, in the order they are built.
+    Each R_y is dropped after the last step that reads it."""
+    rmul = kl.rmul
+    mu = plan.mu
+    last_read = plan.last_read
+    b = plan.b
+    # times_s[i][j]: position of w_j s_{i+1}
+    times_s = [[w[i] for w in rmul] for i in range(len(rmul[0]))]
+    r: list[list[dict[int, int]] | None] = [None] * len(rmul)
+    one = 1 << (b * plan.d)
+    r[0] = [{x: one} for x in range(len(rmul))]
+    yield 0, r[0]
+    for k, i, shorter, minus in plan.steps:
+        ts = times_s[i]
+        subtract = [(r[z], m) for z, m in minus]
+        mat = []
+        for x, row in enumerate(r[shorter]):
+            acc: dict[int, int] = {}
+            get = acc.get
+            for j, p in row.items():
+                js = ts[j]
+                if js < j:
+                    acc[j] = get(j, 0) + (p << b) + (p >> b)
+                else:
+                    acc[js] = get(js, 0) + p
+                    for z, m in mu[j]:
+                        if ts[z] < z:
+                            acc[z] = get(z, 0) + m * p
+            for c, m in subtract:
+                for z, p in c[x].items():
+                    acc[z] = get(z, 0) - m * p
+            mat.append({z: p for z, p in acc.items() if p})
+        if k in last_read:
+            r[k] = mat
+        for y in (shorter, *(z for z, _ in minus)):
+            if last_read[y] == k:
+                r[y] = None
+        yield k, mat
+
+
+def _top_degree(bits: int, b: int, d: int) -> int:
+    """The largest degree of a nonzero packed cell P = p(2^b) 2^(b d) whose
+    coefficients all have |coeff| < 2^(b-2), from bits = P.bit_length()."""
+    return bits // b - d
 
 
 _table_lock = threading.Lock()
@@ -331,66 +426,20 @@ def _a_table(n: int) -> dict[tuple[int, ...], int]:
 
 def _build_a_table(n: int) -> dict[tuple[int, ...], int]:
     kl = _kl_basis(n)
-    rmul = kl.rmul
-    size = len(kl.perms)
-
-    # mu pairs (z, mu(z, w)): the v^-1 coefficients of C_w, grouped by w
-    mu = [
-        [(z, p[-1]) for z, p in cw.items() if z != k and p.get(-1)]
-        for k, cw in enumerate(kl.basis)
-    ]
-
-    # right multiplication by C_s, one sparse matrix per generator
-    r_s: list[list[_Row]] = []
-    for i in range(n - 1):
-        rows: list[_Row] = []
-        for x in range(size):
-            xs = rmul[x][i]
-            if xs < x:
-                rows.append({x: {-1: 1, 1: 1}})
-            else:
-                row: _Row = {xs: {0: 1}}
-                for z, m in mu[x]:
-                    if rmul[z][i] < z:
-                        row[z] = {0: m}
-                rows.append(row)
-        r_s.append(rows)
-
-    # Each R_{w_k} is built from R_{w_k s} and its mu-partners along the last
-    # right descent s.  Record the last step that reads each R_y, so that it
-    # can be dropped right after; only the largest degree per column is kept.
-    steps = []
-    last_read: dict[int, int] = {}
-    for k in range(1, size):
-        i = _last_descent(rmul, k)
-        shorter = rmul[k][i]
-        minus = [(z, m) for z, m in mu[shorter] if rmul[z][i] < z]
-        steps.append((k, i, shorter, minus))
-        last_read[shorter] = k
-        for z, _ in minus:
-            last_read[z] = k
-
-    best = [-1] * size
-
-    def fold(mat: list[_Row]) -> None:
+    plan = _table_plan(kl)
+    # A larger largest degree means a longer packed cell, so keeping the
+    # longest bit length per column z keeps its largest degree.
+    best = [0] * len(kl.perms)
+    for _, mat in _structure_matrices(kl, plan):
         for row in mat:
-            for z, poly in row.items():
-                d = max(poly)
-                if d > best[z]:
-                    best[z] = d
-
-    r: list[list[_Row] | None] = [None] * size
-    r[0] = [{x: {0: 1}} for x in range(size)]
-    fold(r[0])
-    for k, i, shorter, minus in steps:
-        mat = _polymat_mul(r[shorter], r_s[i], [(r[z], m) for z, m in minus])
-        fold(mat)
-        if k in last_read:
-            r[k] = mat
-        for y in (shorter, *(z for z, _ in minus)):
-            if last_read[y] == k:
-                r[y] = None
-    return {w.one_line: best[k] for k, w in enumerate(kl.perms)}
+            for z, p in row.items():
+                bits = p.bit_length()
+                if bits > best[z]:
+                    best[z] = bits
+    return {
+        w.one_line: _top_degree(best[k], plan.b, plan.d)
+        for k, w in enumerate(kl.perms)
+    }
 
 
 def a_function_definitional(

@@ -142,7 +142,11 @@ def xi_signature(w: Weight, ctx: PQContext) -> BallSignature:
         elif wj == q:
             b_next = sum(1 for x in blacks[bi:] if x <= whites[q - 1])
         else:
-            assert wj >= 1  # a leading empty white run only happens once
+            if wj < 1:  # a leading empty white run only happens once
+                raise RuntimeError(
+                    f"xi_signature of {w} for (p,q)=({p},{q}): an empty white "
+                    f"run after the first, with runs {tuple(runs)}"
+                )
             b_next = sum(
                 1 for x in blacks[bi:] if whites[wj] < x <= whites[wj - 1]
             )
@@ -151,7 +155,11 @@ def xi_signature(w: Weight, ctx: PQContext) -> BallSignature:
         runs.extend((a_next, b_next))
         wi, bi = wj, bi + b_next
     sig = BallSignature(runs)
-    assert sig.white_total == q and sig.black_total == p
+    if sig.white_total != q or sig.black_total != p:
+        raise RuntimeError(
+            f"xi_signature of {w} for (p,q)=({p},{q}): runs {sig.runs} hold "
+            f"{sig.white_total} whites and {sig.black_total} blacks"
+        )
     return sig
 
 

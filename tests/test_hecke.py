@@ -25,7 +25,15 @@ from gkdim import (
     multiply,
     rs_of_permutation,
 )
-from gkdim.hecke import _a_table, _check_kl_element, _kl_basis, _polymat_mul
+from gkdim.hecke import (
+    _a_table,
+    _check_kl_element,
+    _kl_basis,
+    _last_descent,
+    _structure_matrices,
+    _table_plan,
+    _top_degree,
+)
 
 V = LaurentPoly.v
 ONE = LaurentPoly.one()
@@ -270,7 +278,7 @@ class TestAFunction:
                 sigma
             ), ol
 
-    @pytest.mark.parametrize("n", range(2, 5))
+    @pytest.mark.parametrize("n", range(2, 6))
     def test_constant_on_shape_classes(self, n):
         by_shape = {}
         for ol in permutations(range(1, n + 1)):
@@ -291,13 +299,188 @@ class TestAFunction:
                 sigma, rank_bound=6
             ) == a_value_of_permutation(sigma), ol
 
-    @pytest.mark.parametrize("n", range(2, 5))
+    @pytest.mark.parametrize("n", range(2, 6))
     def test_invariant_under_inverse(self, n):
         for ol in permutations(range(1, n + 1)):
             sigma = Permutation(ol)
             assert a_function_definitional(sigma) == a_function_definitional(
                 sigma.inverse()
             )
+
+
+def reference_polymat_mul(a, b, minus=()):
+    """a*b - sum of m*c over (c, m) in minus, for sparse matrices of Laurent
+    polynomials: row x of a*b is sum over k of a[x][k] * b[k]."""
+    out = []
+    for x, row in enumerate(a):
+        acc = {}
+        for k, p in row.items():
+            for z, q in b[k].items():
+                cell = acc.get(z)
+                if cell is None:
+                    cell = acc[z] = {}
+                for d1, c1 in p.items():
+                    for d2, c2 in q.items():
+                        d = d1 + d2
+                        cell[d] = cell.get(d, 0) + c1 * c2
+        for c, m in minus:
+            for z, poly in c[x].items():
+                cell = acc.setdefault(z, {})
+                for d, coeff in poly.items():
+                    cell[d] = cell.get(d, 0) - m * coeff
+        nonzero = {}
+        for z, poly in acc.items():
+            poly = {d: coeff for d, coeff in poly.items() if coeff}
+            if poly:
+                nonzero[z] = poly
+        out.append(nonzero)
+    return out
+
+
+def reference_matrices(n):
+    """Yield (k, R_{w_k}) with {degree: coeff} cells, as the table was built
+    before its cells were packed: R_{y's} = R_{y'} R_s - sum of
+    mu(z,y') R_z over zs < z, by sparse products against one matrix R_s per
+    generator, each R_y dropped after the last product that reads it."""
+    kl = _kl_basis(n)
+    rmul = kl.rmul
+    size = len(kl.perms)
+    mu = [
+        [(z, p[-1]) for z, p in cw.items() if z != k and p.get(-1)]
+        for k, cw in enumerate(kl.basis)
+    ]
+    r_s = []
+    for i in range(n - 1):
+        rows = []
+        for x in range(size):
+            xs = rmul[x][i]
+            if xs < x:
+                rows.append({x: {-1: 1, 1: 1}})
+            else:
+                row = {xs: {0: 1}}
+                for z, m in mu[x]:
+                    if rmul[z][i] < z:
+                        row[z] = {0: m}
+                rows.append(row)
+        r_s.append(rows)
+    steps = []
+    last_read = {}
+    for k in range(1, size):
+        i = _last_descent(rmul, k)
+        shorter = rmul[k][i]
+        minus = [(z, m) for z, m in mu[shorter] if rmul[z][i] < z]
+        steps.append((k, i, shorter, minus))
+        last_read[shorter] = k
+        for z, _ in minus:
+            last_read[z] = k
+    r = [None] * size
+    r[0] = [{x: {0: 1}} for x in range(size)]
+    yield 0, r[0]
+    for k, i, shorter, minus in steps:
+        mat = reference_polymat_mul(
+            r[shorter], r_s[i], [(r[z], m) for z, m in minus]
+        )
+        if k in last_read:
+            r[k] = mat
+        for y in (shorter, *(z for z, _ in minus)):
+            if last_read[y] == k:
+                r[y] = None
+        yield k, mat
+
+
+@lru_cache(maxsize=None)
+def reference_a_table(n):
+    """a(z) as the largest degree in column z over every reference R_y."""
+    kl = _kl_basis(n)
+    best = [-1] * len(kl.perms)
+    for _, mat in reference_matrices(n):
+        for row in mat:
+            for z, poly in row.items():
+                best[z] = max(best[z], max(poly))
+    return {w.one_line: best[k] for k, w in enumerate(kl.perms)}
+
+
+@lru_cache(maxsize=None)
+def reference_largest_coefficient(n):
+    return max(
+        abs(c)
+        for _, mat in reference_matrices(n)
+        for row in mat
+        for poly in row.values()
+        for c in poly.values()
+    )
+
+
+def pack(poly, b, d):
+    """The packed cell p(2^b) 2^(b d) of p = {degree: coeff}."""
+    return sum(c << (b * (e + d)) for e, c in poly.items())
+
+
+def unpack(cell, b, d):
+    """{degree: coeff} from a packed cell, reading balanced base-2^b digits;
+    exact while every |coeff| < 2^(b-1)."""
+    out = {}
+    e = -d
+    while cell:
+        c = cell & ((1 << b) - 1)
+        if c >= 1 << (b - 1):
+            c -= 1 << b
+        if c:
+            out[e] = c
+        cell = (cell - c) >> b
+        e += 1
+    return out
+
+
+class TestTableAgainstReference:
+    """The packed table against the dict-celled builder it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_reference_table(self, n):
+        assert _a_table(n) == reference_a_table(n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_cell_matches_reference(self, n):
+        kl = _kl_basis(n)
+        plan = _table_plan(kl)
+        got = _structure_matrices(kl, plan)
+        for (k, mat), (k_ref, ref) in zip(got, reference_matrices(n), strict=True):
+            assert k == k_ref
+            decoded = [
+                {z: unpack(cell, plan.b, plan.d) for z, cell in row.items()}
+                for row in mat
+            ]
+            assert decoded == ref, kl.perms[k].one_line
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_coefficient_bound_covers_reference(self, n):
+        plan = _table_plan(_kl_basis(n))
+        assert plan.bound >= reference_largest_coefficient(n)
+
+    def test_largest_coefficients(self):
+        assert [reference_largest_coefficient(n) for n in (4, 5)] == [7, 36]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(st.integers(3, 64), st.integers(0, 20)).flatmap(
+            lambda bd: st.tuples(
+                st.just(bd),
+                st.dictionaries(
+                    st.integers(-bd[1], bd[1]),
+                    st.integers(-(2 ** (bd[0] - 2) - 1), 2 ** (bd[0] - 2) - 1),
+                    max_size=2 * bd[1] + 1,
+                ),
+            )
+        )
+    )
+    def test_packing_reads_off_top_degree(self, case):
+        (b, d), poly = case
+        poly = {e: c for e, c in poly.items() if c}
+        cell = pack(poly, b, d)
+        assert (cell != 0) == bool(poly)
+        if poly:
+            assert _top_degree(cell.bit_length(), b, d) == max(poly)
+            assert unpack(cell, b, d) == poly
 
 
 def dense_poly_matrices(size):
@@ -356,7 +539,7 @@ class TestPolymatMul:
     )
     def test_matches_dense_reference(self, case):
         a, b, minus = case
-        got = _polymat_mul(
+        got = reference_polymat_mul(
             to_sparse(a), to_sparse(b), [(to_sparse(c), m) for c, m in minus]
         )
         assert got == dense_reference(a, b, minus)
@@ -365,11 +548,11 @@ class TestPolymatMul:
         # a zero row of a gives a zero row; a zero row of b contributes nothing
         a = [{}, {0: {1: 2}, 1: {0: 5}}]
         b = [{1: {-1: 3}}, {}]
-        assert _polymat_mul(a, b) == [{}, {1: {0: 6}}]
+        assert reference_polymat_mul(a, b) == [{}, {1: {0: 6}}]
 
     def test_degree_convolution(self):
         # [[v]] * [[1 + v]] == [[v + v^2]] as 1x1 polynomial matrices
-        assert _polymat_mul([{0: {1: 1}}], [{0: {0: 1, 1: 1}}]) == [
+        assert reference_polymat_mul([{0: {1: 1}}], [{0: {0: 1, 1: 1}}]) == [
             {0: {1: 1, 2: 1}}
         ]
 
@@ -377,4 +560,4 @@ class TestPolymatMul:
         # [[v]] * [[v^-1]] - 1 * [[1]] == 0: no empty cell may remain
         a = [{0: {1: 1}}]
         b = [{0: {-1: 1}}]
-        assert _polymat_mul(a, b, [([{0: {0: 1}}], 1)]) == [{}]
+        assert reference_polymat_mul(a, b, [([{0: {0: 1}}], 1)]) == [{}]

@@ -1,9 +1,13 @@
 """su(p,q) computations: case split, deletion, ball models, unitarity."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +39,7 @@ from gkdim import (
     unitary_interval,
     xi_signature,
 )
+import gkdim
 import gkdim.hermitian
 from gkdim.weights import add_z_zeta
 
@@ -104,6 +109,50 @@ class TestXiSignature:
         w, ctx = random_dominant_weight(rng, n)
         sig = xi_signature(w, ctx)
         assert "".join(sig.balls()) == ball_line_of(w, ctx)
+
+
+# Weights that are not (p,q)-dominant break the run count; with the
+# dominance check patched out they reach the internal checks.
+UNCHECKED_RUNS = """
+import gkdim.hermitian as h
+from gkdim import PQContext, Weight
+h._require_pq_dominant = lambda w, ctx: None
+for entries, p, q in (([2, 0, 1, 0], 3, 1), ([3, 4, 0, 2, 3], 3, 2)):
+    try:
+        h.xi_signature(Weight(entries), PQContext(p, q))
+    except RuntimeError as e:
+        print(e)
+"""
+
+
+class TestXiSignatureChecks:
+    def test_empty_white_run(self, monkeypatch):
+        monkeypatch.setattr(gkdim.hermitian, "_require_pq_dominant", lambda w, ctx: None)
+        with pytest.raises(
+            RuntimeError,
+            match=r"Weight\(2, 0, 1, 0\) for \(p,q\)=\(3,1\): an empty white run "
+            r"after the first, with runs \(0, 2\)",
+        ):
+            xi_signature(Weight([2, 0, 1, 0]), PQContext(3, 1))
+
+    def test_run_totals(self, monkeypatch):
+        monkeypatch.setattr(gkdim.hermitian, "_require_pq_dominant", lambda w, ctx: None)
+        with pytest.raises(
+            RuntimeError,
+            match=r"Weight\(3, 4, 0, 2, 3\) for \(p,q\)=\(3,2\): runs \(1, 1\) "
+            r"hold 1 whites and 1 blacks",
+        ):
+            xi_signature(Weight([3, 4, 0, 2, 3]), PQContext(3, 2))
+
+    def test_checks_survive_optimize(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(gkdim.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", UNCHECKED_RUNS], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        assert len(out) == 2
+        assert "an empty white run" in out[0]
+        assert "hold 1 whites and 1 blacks" in out[1]
 
 
 class TestBallModel:
