@@ -144,11 +144,12 @@ def _pretty_hermitian(report) -> str:
     return "\n".join(lines)
 
 
-def _emit(obj: dict, pretty: str, output: str) -> None:
+def _emit(obj: dict, pretty, output: str) -> None:
+    """Print one answer: `obj` as JSON, or the text `pretty()` builds."""
     if output == "json":
         print(json.dumps(obj))
     else:
-        print(pretty)
+        print(pretty())
 
 
 def _run_weight_command(args, compute) -> int:
@@ -186,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gkdim":
             def compute(w):
                 report = gk_dimension(w)
-                _emit(report.to_json(), _pretty_gk(report), args.output)
+                _emit(report.to_json(), lambda: _pretty_gk(report), args.output)
             return _run_weight_command(args, compute)
 
         if args.command == "hermitian":
@@ -194,7 +195,8 @@ def main(argv: list[str] | None = None) -> int:
 
             def compute(w):
                 report = gk_pq(w, ctx)
-                _emit(report.to_json(), _pretty_hermitian(report), args.output)
+                _emit(report.to_json(), lambda: _pretty_hermitian(report),
+                      args.output)
             return _run_weight_command(args, compute)
 
         if args.command == "series":
@@ -208,8 +210,9 @@ def main(argv: list[str] | None = None) -> int:
                     "q": ctx.q,
                     "series": [{"z": z, "gk_dimension": g} for z, g in series],
                 }
-                pretty = "\n".join(f"z = {z}: GK dimension = {g}" for z, g in series)
-                _emit(obj, pretty, args.output)
+                _emit(obj, lambda: "\n".join(
+                    f"z = {z}: GK dimension = {g}" for z, g in series
+                ), args.output)
             return _run_weight_command(args, compute)
 
         if args.command == "unitary":
@@ -218,17 +221,23 @@ def main(argv: list[str] | None = None) -> int:
             def compute(w):
                 interval = unitary_interval(w, ctx)
                 obj = interval.to_json()
-                lines = [
-                    f"p' = {interval.p_prime}   q' = {interval.q_prime}",
-                    f"unitary for real z <= {interval.threshold_real} "
-                    f"and integer z <= {interval.threshold_int}",
-                ]
                 if args.z is not None:
                     z = parse_rational(args.z)
                     obj["z"] = str(z)
                     obj["gk_dimension"] = unitary_gkdim(w, ctx, z)
-                    lines.append(f"GK dimension at z = {z}: {obj['gk_dimension']}")
-                _emit(obj, "\n".join(lines), args.output)
+
+                def pretty():
+                    lines = [
+                        f"p' = {interval.p_prime}   q' = {interval.q_prime}",
+                        f"unitary for real z <= {interval.threshold_real} "
+                        f"and integer z <= {interval.threshold_int}",
+                    ]
+                    if args.z is not None:
+                        lines.append(
+                            f"GK dimension at z = {obj['z']}: {obj['gk_dimension']}"
+                        )
+                    return "\n".join(lines)
+                _emit(obj, pretty, args.output)
             return _run_weight_command(args, compute)
 
         if args.command == "verify-oracle":

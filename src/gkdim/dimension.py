@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .tableaux import Tableau, rs_pair
-from .weights import Weight
+from .weights import Weight, congruence_key
 
 
 @dataclass(frozen=True)
@@ -26,16 +26,17 @@ class CongruenceClass:
 
 def congruence_decomposition(w: Weight) -> list[CongruenceClass]:
     """Partition of the positions, ordered by first occurrence."""
-    classes: list[tuple[list[int], list[Fraction]]] = []
+    # Dicts keep insertion order, so classes come out by first occurrence.
+    classes: dict[tuple[int, int], tuple[list[int], list[Fraction]]] = {}
     for pos, e in enumerate(w.entries, start=1):
-        for idx, ents in classes:
-            if (e - ents[0]).denominator == 1:
-                idx.append(pos)
-                ents.append(e)
-                break
+        key = congruence_key(e)
+        cls = classes.get(key)
+        if cls is None:
+            classes[key] = ([pos], [e])
         else:
-            classes.append(([pos], [e]))
-    return [CongruenceClass(tuple(i), tuple(e)) for i, e in classes]
+            cls[0].append(pos)
+            cls[1].append(e)
+    return [CongruenceClass(tuple(i), tuple(e)) for i, e in classes.values()]
 
 
 def tableau_collection(w: Weight) -> list[Tableau]:
@@ -83,7 +84,7 @@ def gk_dimension(w: Weight) -> GKReport:
         nu0=nu0,
         a_value=total,
         gk_dimension=nu0 - total,
-        integral=w.is_integral(),
+        integral=len(classes) == 1,
         classes=tuple(classes),
         tableaux=tableaux,
     )

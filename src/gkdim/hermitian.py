@@ -4,8 +4,10 @@ A (p,q)-dominant weight has strictly decreasing integer-gap entries within
 positions 1..p (black) and p+1..p+q (white).  In the integral case the
 insertion tableau has at most two columns, GKdim = m(n-m) with m the second
 column length, and m is computed four independent ways: straight insertion,
-the two-at-a-time deletion recursion, the white/black ball signature with
-its pair-removal count, and the v-exponent in the xy=v rewriting algebra.
+the two-at-a-time deletion recursion, the white/black ball signature (read
+off one merge of the two decreasing halves) with its pair-removal count, and
+the v-exponent in the xy=v rewriting algebra.  Integrality is tested by
+comparing congruence keys (``weights.congruence_key``), never by subtracting.
 In the non-integral case GKdim = pq.  Orbit data: dim of the k-th orbit
 closure is k(n-k), and the orbit index is m, or min(p,q) when non-integral.
 """
@@ -24,7 +26,13 @@ from .errors import (
     OutsideUnitaryIntervalError,
     ZRangeBoundError,
 )
-from .weights import PQContext, Weight, add_z_zeta, pq_dominance_violation
+from .weights import (
+    PQContext,
+    Weight,
+    add_z_zeta,
+    congruence_key,
+    pq_dominance_violation,
+)
 
 
 def _require_pq_dominant(w: Weight, ctx: PQContext) -> None:
@@ -37,7 +45,7 @@ def _require_pq_dominant(w: Weight, ctx: PQContext) -> None:
 
 
 def _integral_across_split(w: Weight, ctx: PQContext) -> bool:
-    return (w.entries[0] - w.entries[ctx.p]).denominator == 1
+    return congruence_key(w.entries[0]) == congruence_key(w.entries[ctx.p])
 
 
 def _require_integral(w: Weight, ctx: PQContext) -> None:
@@ -108,59 +116,32 @@ class BallSignature:
 def xi_signature(w: Weight, ctx: PQContext) -> BallSignature:
     """The run-length signature of an integral (p,q)-dominant weight.
 
-    Runs are counted inductively: the first white run holds the whites >= the
-    top black, each black run the blacks below the previous white run but
-    above the next white, and so on; a white tied with a black counts to the
-    white's left.  Equivalently: sort the entries decreasingly, whites before
-    blacks on ties, and read off run lengths.
+    Both halves are strictly decreasing, so one merge sorts the entries
+    decreasingly, with a white before a black it ties with; the runs of
+    colors in that line are the signature.  Each step takes the longest
+    stretch of whites at or above the next black, then the longest stretch
+    of blacks above the next white.  The first white run and the last black
+    run may be empty; every other run holds at least one ball.
     """
     _require_pq_dominant(w, ctx)
     _require_integral(w, ctx)
-    blacks = w.entries[: ctx.p]
-    whites = w.entries[ctx.p :]
+    # All entries share one congruence key, hence one denominator, so their
+    # numerators order them.
+    blacks = [e.numerator for e in w.entries[: ctx.p]]
+    whites = [e.numerator for e in w.entries[ctx.p :]]
     p, q = ctx.p, ctx.q
-
-    a1 = sum(1 for x in whites if x >= blacks[0])
-    if a1 < q:
-        b1 = sum(1 for x in blacks if x > whites[a1])
-    else:
-        b1 = p
-    runs = [a1, b1]
-    wi, bi = a1, b1
-    while True:
-        if bi > p:
-            a_next = 0
-        elif bi == p:
-            a_next = sum(1 for x in whites[wi:] if x < blacks[p - 1])
-        else:
-            a_next = sum(
-                1 for x in whites[wi:] if blacks[bi] <= x < blacks[bi - 1]
-            )
-        wj = wi + a_next
-        if wj > q:
-            b_next = 0
-        elif wj == q:
-            b_next = sum(1 for x in blacks[bi:] if x <= whites[q - 1])
-        else:
-            if wj < 1:  # a leading empty white run only happens once
-                raise RuntimeError(
-                    f"xi_signature of {w} for (p,q)=({p},{q}): an empty white "
-                    f"run after the first, with runs {tuple(runs)}"
-                )
-            b_next = sum(
-                1 for x in blacks[bi:] if whites[wj] < x <= whites[wj - 1]
-            )
-        if a_next == 0 and b_next == 0:
-            break
-        runs.extend((a_next, b_next))
-        wi, bi = wj, bi + b_next
-    sig = BallSignature(runs)
-    if sig.white_total != q or sig.black_total != p:
-        raise RuntimeError(
-            f"xi_signature of {w} for (p,q)=({p},{q}): runs {sig.runs} hold "
-            f"{sig.white_total} whites and {sig.black_total} blacks"
-        )
-    return sig
+    runs: list[int] = []
+    i = j = 0
+    while i < p or j < q:
+        start = j
+        while j < q and (i == p or whites[j] >= blacks[i]):
+            j += 1
+        runs.append(j - start)
+        start = i
+        while i < p and (j == q or blacks[i] > whites[j]):
+            i += 1
+        runs.append(i - start)
+    return BallSignature(runs)
 
 
 def ball_model_m(xi: BallSignature) -> int:
@@ -342,7 +323,9 @@ def gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
         m = ball_model_m(xi)
         if m != len(second):
             raise RuntimeError(
-                f"tableau and ball model disagree: {len(second)} vs {m}"
+                f"gk_pq of {w} for (p,q)=({ctx.p},{ctx.q}): tableau and ball "
+                f"model disagree: second column of length {len(second)}, "
+                f"ball model m = {m} from {xi}"
             )
         return HermitianReport(
             p=ctx.p, q=ctx.q, integral=True, m=m,
@@ -440,6 +423,7 @@ def unitary_gkdim(tilde_w: Weight, ctx: PQContext, z: Fraction | int) -> int:
     actual = gk_pq(add_z_zeta(tilde_w, ctx, z), ctx).gk_dimension
     if actual != value:
         raise RuntimeError(
+            f"unitary_gkdim of {tilde_w} for (p,q)=({p},{q}) at z={z}: "
             f"closed form {value} disagrees with direct computation {actual}"
         )
     return value
@@ -471,11 +455,20 @@ def gkdim_series(
         (z, gk_pq(add_z_zeta(tilde_w, ctx, z), ctx).gk_dimension)
         for z in range(z_from, z_to + 1)
     ]
-    values = [g for _, g in series]
-    if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
-        raise RuntimeError(f"series is not weakly decreasing: {values}")
+    for (z0, g0), (z1, g1) in zip(series, series[1:]):
+        if g0 < g1:
+            raise RuntimeError(
+                f"gkdim_series of {tilde_w} for (p,q)=({ctx.p},{ctx.q}): "
+                f"series is not weakly decreasing: GK dimension {g0} at "
+                f"z={z0} but {g1} at z={z1}; values {[g for _, g in series]}"
+            )
     if _integral_across_split(tilde_w, ctx):
         threshold = tilde_w.entries[ctx.p] - tilde_w.entries[ctx.p - 1] + 1
-        if any(g != 0 for z, g in series if z > threshold):
-            raise RuntimeError(f"nonzero value beyond threshold {threshold}")
+        for z, g in series:
+            if z > threshold and g != 0:
+                raise RuntimeError(
+                    f"gkdim_series of {tilde_w} for (p,q)=({ctx.p},{ctx.q}): "
+                    f"GK dimension {g} at z={z}, expected 0 beyond threshold "
+                    f"{threshold}"
+                )
     return series

@@ -36,6 +36,27 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator: {token!r}") from None
+    except ValueError:
+        # Python refuses to convert integer strings past its digit limit.
+        shown = token if len(token) <= 40 else f"{token[:20]}...{token[-8:]}"
+        raise ParseError(
+            f"number too long ({len(token)} characters): {shown!r}"
+        ) from None
+
+
+def congruence_key(e: Fraction | int) -> tuple[int, int]:
+    """The class of e modulo Z: two entries differ by an integer exactly
+    when their keys are equal.
+
+    A ``Fraction`` is kept in lowest terms, so e and e + k share a
+    denominator and their numerators agree modulo it.
+
+    >>> congruence_key(Fraction(-7, 2)) == congruence_key(Fraction(5, 2))
+    True
+    >>> congruence_key(Fraction(1, 3)) == congruence_key(Fraction(2, 3))
+    False
+    """
+    return e.numerator % e.denominator, e.denominator
 
 
 def parse_weight(text: str) -> "Weight":
@@ -52,7 +73,9 @@ class Weight:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Fraction | int]):
-        entries = tuple(Fraction(e) for e in entries)
+        entries = tuple(
+            e if type(e) is Fraction else Fraction(e) for e in entries
+        )
         if not entries:
             raise ValueError("a weight needs at least one entry")
         object.__setattr__(self, "entries", entries)
@@ -95,16 +118,18 @@ class Weight:
 
     def is_integral(self) -> bool:
         """True iff all pairwise entry differences are integers."""
-        first = self.entries[0]
-        return all((e - first).denominator == 1 for e in self.entries)
+        first = congruence_key(self.entries[0])
+        return all(congruence_key(e) == first for e in self.entries)
 
     def is_antidominant(self) -> bool:
-        """True iff integrally comparable entries weakly increase."""
-        es = self.entries
-        for i in range(len(es)):
-            for j in range(i + 1, len(es)):
-                if (es[i] - es[j]).denominator == 1 and es[i] > es[j]:
-                    return False
+        """True iff integrally comparable entries weakly increase, that is,
+        iff each congruence class is weakly increasing."""
+        last: dict[tuple[int, int], Fraction] = {}
+        for e in self.entries:
+            k = congruence_key(e)
+            if k in last and last[k] > e:
+                return False
+            last[k] = e
         return True
 
     def shift(self, c: Fraction | int) -> "Weight":
@@ -160,9 +185,11 @@ def pq_dominance_violation(w: Weight, ctx: PQContext) -> tuple[int, int] | None:
     ctx.check(w)
     es = w.entries
     for lo, hi in ((0, ctx.p), (ctx.p, ctx.n)):
+        key = congruence_key(es[lo])
         for i in range(lo, hi - 1):
-            d = es[i] - es[i + 1]
-            if d.denominator != 1 or d <= 0:
+            a, b = es[i], es[i + 1]
+            # Equal keys mean equal denominators, so numerators order a, b.
+            if not (congruence_key(b) == key and a.numerator > b.numerator):
                 return (i + 1, i + 2)
     return None
 

@@ -111,3 +111,61 @@ def random_tilde_weight(
         whites_rev.append(whites_rev[-1] + rng.randint(1, max_gap))
     whites = list(reversed(whites_rev))
     return Weight(blacks + whites), PQContext(p, q)
+
+
+def reference_xi_signature(w: Weight, ctx: PQContext) -> BallSignature:
+    """The ball signature by the inductive run count, the reference for the
+    merge in ``xi_signature``.
+
+    The first white run holds the whites >= the top black, each black run
+    the blacks below the previous white run but above the next white, and
+    so on; a white tied with a black counts to the white's left.  It does
+    not check (p,q)-dominance or integrality, so a weight that is not
+    (p,q)-dominant can reach its two run checks.
+    """
+    blacks = w.entries[: ctx.p]
+    whites = w.entries[ctx.p :]
+    p, q = ctx.p, ctx.q
+
+    a1 = sum(1 for x in whites if x >= blacks[0])
+    if a1 < q:
+        b1 = sum(1 for x in blacks if x > whites[a1])
+    else:
+        b1 = p
+    runs = [a1, b1]
+    wi, bi = a1, b1
+    while True:
+        if bi > p:
+            a_next = 0
+        elif bi == p:
+            a_next = sum(1 for x in whites[wi:] if x < blacks[p - 1])
+        else:
+            a_next = sum(
+                1 for x in whites[wi:] if blacks[bi] <= x < blacks[bi - 1]
+            )
+        wj = wi + a_next
+        if wj > q:
+            b_next = 0
+        elif wj == q:
+            b_next = sum(1 for x in blacks[bi:] if x <= whites[q - 1])
+        else:
+            if wj < 1:  # a leading empty white run only happens once
+                raise RuntimeError(
+                    f"inductive run count of {w} for (p,q)=({p},{q}): an "
+                    f"empty white run after the first, with runs {tuple(runs)}"
+                )
+            b_next = sum(
+                1 for x in blacks[bi:] if whites[wj] < x <= whites[wj - 1]
+            )
+        if a_next == 0 and b_next == 0:
+            break
+        runs.extend((a_next, b_next))
+        wi, bi = wj, bi + b_next
+    sig = BallSignature(runs)
+    if sig.white_total != q or sig.black_total != p:
+        raise RuntimeError(
+            f"inductive run count of {w} for (p,q)=({p},{q}): runs "
+            f"{sig.runs} hold {sig.white_total} whites and "
+            f"{sig.black_total} blacks"
+        )
+    return sig

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import gkdim.cli
 from gkdim import Z_RANGE_BOUND
 from gkdim.cli import main
 
@@ -255,3 +256,125 @@ class TestBatchMode:
     def test_batch_excludes_weight_flag(self, capsys):
         code, _, _ = run(capsys, "gkdim", "--batch", "--weight", "1,2")
         assert code == 1
+
+
+# Expected text recorded from the CLI before the pretty text became lazy.
+PRETTY_GOLDEN = [
+    (
+        ("gkdim", "--weight", "3,3.5,2,1.5,-1,5.5,-1,0,1.1"),
+        "n = 9   nu0 = 36   integral = False\n"
+        "a-value = 4   GK dimension = 32\n"
+        "class at positions [1, 3, 5, 7, 8]:\n"
+        "  -1 -1 0\n"
+        "  2\n"
+        "  3\n"
+        "class at positions [2, 4, 6]:\n"
+        "  3/2  11/2\n"
+        "  7/2\n"
+        "class at positions [9]:\n"
+        "  11/10\n",
+    ),
+    (
+        ("hermitian", "--weight", "6,5,3,2,9,8,7,4,2,1", "--pq", "4,6"),
+        "p = 4   q = 6   integral = True\n"
+        "m = 4   GK dimension = 24\n"
+        "orbit index = 4   orbit dimension = 24\n"
+        "second column (top to bottom): 2, 4, 7, 8\n"
+        "ball signature = (3, 2, 1, 1, 1, 1, 1, 0)\n",
+    ),
+    (
+        ("hermitian", "--weight", "3,2,3/2,1/2", "--pq", "2,2"),
+        "p = 2   q = 2   integral = False\n"
+        "m = 2   GK dimension = 4\n"
+        "orbit index = 2   orbit dimension = 4\n",
+    ),
+    (
+        ("series", "--weight", "3,2,1,0,6,5,4,3", "--pq", "4,4",
+         "--z-range=3,9"),
+        "z = 3: GK dimension = 16\n"
+        "z = 4: GK dimension = 15\n"
+        "z = 5: GK dimension = 12\n"
+        "z = 6: GK dimension = 7\n"
+        "z = 7: GK dimension = 0\n"
+        "z = 8: GK dimension = 0\n"
+        "z = 9: GK dimension = 0\n",
+    ),
+    (
+        ("unitary", "--weight", "3,2,1,0,6,5,4,3", "--pq", "4,4"),
+        "p' = 4   q' = 4\n"
+        "unitary for real z <= 4 and integer z <= 7\n",
+    ),
+    (
+        ("unitary", "--weight", "3,2,1,0,6,5,4,3", "--pq", "4,4", "--z=1/2"),
+        "p' = 4   q' = 4\n"
+        "unitary for real z <= 4 and integer z <= 7\n"
+        "GK dimension at z = 1/2: 16\n",
+    ),
+    (
+        ("unitary", "--weight", "3,2,1,0,6,5,4,3", "--pq", "4,4", "--z=5"),
+        "p' = 4   q' = 4\n"
+        "unitary for real z <= 4 and integer z <= 7\n"
+        "GK dimension at z = 5: 12\n",
+    ),
+]
+
+GOLDEN_IDS = [f"{argv[0]}-{k}" for k, (argv, _) in enumerate(PRETTY_GOLDEN)]
+
+
+class TestPrettyOutput:
+    @pytest.mark.parametrize("argv,expected", PRETTY_GOLDEN, ids=GOLDEN_IDS)
+    def test_golden(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv, "--output", "pretty")
+        assert (code, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize("argv,_", PRETTY_GOLDEN, ids=GOLDEN_IDS)
+    def test_json_builds_no_text(self, capsys, monkeypatch, argv, _):
+        def refuse(*args):
+            raise AssertionError("pretty text built for --output json")
+        monkeypatch.setattr("gkdim.cli._pretty_gk", refuse)
+        monkeypatch.setattr("gkdim.cli._pretty_hermitian", refuse)
+        emit = gkdim.cli._emit
+
+        def emit_unbuilt(obj, pretty, output):
+            assert callable(pretty), "pretty text built before output chosen"
+            emit(obj, refuse, output)
+        monkeypatch.setattr("gkdim.cli._emit", emit_unbuilt)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        json.loads(out)
+
+
+HUGE = "7" * 5000
+
+
+class TestOverlongNumbers:
+    """Integer strings past Python's conversion limit are parse errors."""
+
+    def test_weight(self, capsys):
+        code, out, err = run(capsys, "gkdim", "--weight", f"{HUGE},1")
+        assert (code, out) == (1, "")
+        assert "number too long (5000 characters)" in err
+        assert "77777777777777777777...77777777" in err
+        assert len(err) < 200
+
+    @pytest.mark.parametrize(
+        "token", [HUGE, f"1.{HUGE}", f"1/{HUGE}"],
+        ids=["integer", "decimal", "fraction"],
+    )
+    def test_z(self, capsys, token):
+        code, out, err = run(
+            capsys, "unitary", "--weight", "3,2,1,0,6,5,4,3", "--pq", "4,4",
+            f"--z={token}",
+        )
+        assert (code, out) == (1, "")
+        assert "number too long" in err
+
+    def test_batch_line_is_per_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"1,2\n{HUGE},1\n2,1\n"))
+        code, out, _ = run(capsys, "gkdim", "--batch")
+        assert code == 1
+        first, bad, last = (json.loads(l) for l in out.splitlines())
+        assert first["gk_dimension"] == 1
+        assert bad["error"]["code"] == "parse-error"
+        assert "number too long" in bad["error"]["message"]
+        assert last["gk_dimension"] == 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkdim import (
+    CongruenceClass,
     Weight,
     a_value,
     a_value_of_permutation,
@@ -27,7 +28,41 @@ weights = st.lists(
 ).map(Weight)
 
 
+# Ints and Fractions from a small pool, so entries repeat and classes mix.
+mixed_weights = st.lists(
+    st.one_of(
+        st.integers(-5, 5),
+        st.builds(lambda k, num, den: k + F(num, den), st.integers(-5, 5),
+                  st.integers(-2, 2), st.sampled_from([2, 3, 4])),
+    ),
+    min_size=1,
+    max_size=14,
+).map(Weight)
+
+
+def reference_congruence_decomposition(w: Weight) -> list[CongruenceClass]:
+    """The decomposition by Fraction subtraction against each class's first
+    entry, as it was written before the congruence key."""
+    classes: list[tuple[list[int], list[F]]] = []
+    for pos, e in enumerate(w.entries, start=1):
+        for idx, ents in classes:
+            if (e - ents[0]).denominator == 1:
+                idx.append(pos)
+                ents.append(e)
+                break
+        else:
+            classes.append(([pos], [e]))
+    return [CongruenceClass(tuple(i), tuple(e)) for i, e in classes]
+
+
 class TestCongruenceDecomposition:
+    @given(mixed_weights)
+    def test_matches_subtraction_reference(self, w):
+        assert congruence_decomposition(w) == reference_congruence_decomposition(w)
+        report = gk_dimension(w)
+        assert report.integral == w.is_integral()
+        assert list(report.classes) == reference_congruence_decomposition(w)
+
     def test_intro_example(self):
         classes = congruence_decomposition(parse_weight(INTRO))
         assert [c.entries for c in classes] == [

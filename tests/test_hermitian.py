@@ -1,5 +1,6 @@
 """su(p,q) computations: case split, deletion, ball models, unitarity."""
 
+import importlib.util
 import json
 import os
 import random
@@ -8,6 +9,7 @@ import sys
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -44,8 +46,10 @@ import gkdim.hermitian
 from gkdim.weights import add_z_zeta
 
 from helpers import (
+    all_patterns,
     random_dominant_weight,
     random_tilde_weight,
+    reference_xi_signature,
     signature_from_balls,
     weight_from_pattern,
 )
@@ -111,41 +115,41 @@ class TestXiSignature:
         assert "".join(sig.balls()) == ball_line_of(w, ctx)
 
 
-# Weights that are not (p,q)-dominant break the run count; with the
-# dominance check patched out they reach the internal checks.
+# Weights that are not (p,q)-dominant break the inductive run count, which
+# checks neither dominance nor integrality; they reach its internal checks.
 UNCHECKED_RUNS = """
-import gkdim.hermitian as h
 from gkdim import PQContext, Weight
-h._require_pq_dominant = lambda w, ctx: None
+from helpers import reference_xi_signature
 for entries, p, q in (([2, 0, 1, 0], 3, 1), ([3, 4, 0, 2, 3], 3, 2)):
     try:
-        h.xi_signature(Weight(entries), PQContext(p, q))
+        reference_xi_signature(Weight(entries), PQContext(p, q))
     except RuntimeError as e:
         print(e)
 """
 
 
 class TestXiSignatureChecks:
-    def test_empty_white_run(self, monkeypatch):
-        monkeypatch.setattr(gkdim.hermitian, "_require_pq_dominant", lambda w, ctx: None)
+    """The run checks of the inductive count, the reference for the merge."""
+
+    def test_empty_white_run(self):
         with pytest.raises(
             RuntimeError,
             match=r"Weight\(2, 0, 1, 0\) for \(p,q\)=\(3,1\): an empty white run "
             r"after the first, with runs \(0, 2\)",
         ):
-            xi_signature(Weight([2, 0, 1, 0]), PQContext(3, 1))
+            reference_xi_signature(Weight([2, 0, 1, 0]), PQContext(3, 1))
 
-    def test_run_totals(self, monkeypatch):
-        monkeypatch.setattr(gkdim.hermitian, "_require_pq_dominant", lambda w, ctx: None)
+    def test_run_totals(self):
         with pytest.raises(
             RuntimeError,
             match=r"Weight\(3, 4, 0, 2, 3\) for \(p,q\)=\(3,2\): runs \(1, 1\) "
             r"hold 1 whites and 1 blacks",
         ):
-            xi_signature(Weight([3, 4, 0, 2, 3]), PQContext(3, 2))
+            reference_xi_signature(Weight([3, 4, 0, 2, 3]), PQContext(3, 2))
 
     def test_checks_survive_optimize(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(gkdim.__file__).parents[1]))
+        path = [str(Path(gkdim.__file__).parents[1]), str(Path(__file__).parent)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         out = subprocess.run(
             [sys.executable, "-O", "-c", UNCHECKED_RUNS], env=env,
             capture_output=True, text=True, check=True,
@@ -153,6 +157,40 @@ class TestXiSignatureChecks:
         assert len(out) == 2
         assert "an empty white run" in out[0]
         assert "hold 1 whites and 1 blacks" in out[1]
+
+
+def _perfbench_inputs():
+    """perfbench/inputs.py, loaded by path: the benchmark is not a package
+    on the test path."""
+    path = Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestXiSignatureAgainstInductiveCount:
+    """The merge against the inductive run count it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(2, 14),
+           st.integers(1, 3))
+    def test_random_weights_with_ties(self, rng, n, max_gap):
+        w, ctx = random_dominant_weight(rng, n, max_gap=max_gap)
+        assert xi_signature(w, ctx) == reference_xi_signature(w, ctx)
+
+    def test_every_pattern(self):
+        for n in range(2, 8):
+            for colors, ties in all_patterns(n):
+                w, ctx = weight_from_pattern(colors, ties, base=F(1, 3))
+                assert xi_signature(w, ctx) == reference_xi_signature(w, ctx)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_large_n_inputs(self, seed):
+        kind, entries, (p, q) = _perfbench_inputs().large_round(seed, 0)[-1]
+        assert kind == "pq" and p + q == 1000
+        w, ctx = Weight(entries), PQContext(p, q)
+        assert xi_signature(w, ctx) == reference_xi_signature(w, ctx)
 
 
 class TestBallModel:
@@ -531,3 +569,52 @@ class TestZetaLineCrossChecks:
             for z in range(-2, interval.threshold_int + 1):
                 direct = gk_pq(add_z_zeta(w, ctx, z), ctx).gk_dimension
                 assert unitary_gkdim(w, ctx, z) == direct
+
+
+def _fake_gk_pq(values):
+    """A stand-in for gk_pq whose successive reports carry `values`."""
+    values = iter(values)
+    return lambda w, ctx: SimpleNamespace(gk_dimension=next(values))
+
+
+class TestCrossCheckErrors:
+    """Each internal cross-check, forced to fail, names its input and both
+    disagreeing values."""
+
+    def test_tableau_against_ball_model(self, monkeypatch):
+        monkeypatch.setattr(gkdim.hermitian, "ball_model_m", lambda xi: 0)
+        with pytest.raises(
+            RuntimeError,
+            match=r"gk_pq of Weight\(6, 5, 3, 2, 9, 8, 7, 4, 2, 1\) for "
+            r"\(p,q\)=\(4,6\): tableau and ball model disagree: second column "
+            r"of length 4, ball model m = 0 from BallSignature\(3, 2, 1, 1, 1, 1, 1, 0\)",
+        ):
+            gk_pq(EX54, CTX54)
+
+    def test_unitary_closed_form_against_direct(self, monkeypatch):
+        monkeypatch.setattr(gkdim.hermitian, "gk_pq", _fake_gk_pq([5]))
+        with pytest.raises(
+            RuntimeError,
+            match=r"unitary_gkdim of Weight\(2, 1, 4, 3, 2\) for \(p,q\)=\(2,3\) "
+            r"at z=0: closed form 6 disagrees with direct computation 5",
+        ):
+            unitary_gkdim(mu_tilde(2, 3), PQContext(2, 3), 0)
+
+    def test_series_not_decreasing(self, monkeypatch):
+        monkeypatch.setattr(gkdim.hermitian, "gk_pq", _fake_gk_pq([3, 5, 5]))
+        with pytest.raises(
+            RuntimeError,
+            match=r"gkdim_series of Weight\(2, 1, 4, 3, 2\) for \(p,q\)=\(2,3\): "
+            r"series is not weakly decreasing: GK dimension 3 at z=0 but 5 "
+            r"at z=1; values \[3, 5, 5\]",
+        ):
+            gkdim_series(mu_tilde(2, 3), PQContext(2, 3), 0, 2)
+
+    def test_series_nonzero_beyond_threshold(self, monkeypatch):
+        monkeypatch.setattr(gkdim.hermitian, "gk_pq", _fake_gk_pq([1] * 4))
+        with pytest.raises(
+            RuntimeError,
+            match=r"gkdim_series of Weight\(2, 1, 4, 3, 2\) for \(p,q\)=\(2,3\): "
+            r"GK dimension 1 at z=5, expected 0 beyond threshold 4",
+        ):
+            gkdim_series(mu_tilde(2, 3), PQContext(2, 3), 3, 6)

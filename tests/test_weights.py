@@ -16,11 +16,73 @@ from gkdim import (
     parse_rational,
     parse_weight,
 )
+from gkdim.weights import congruence_key, pq_dominance_violation
+
+from helpers import random_dominant_weight
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
 )
 weights = st.lists(rationals, min_size=1, max_size=9).map(Weight)
+
+# Ints and Fractions drawn from a small pool, so that entries repeat and
+# several share a class modulo Z.
+mixed_entries = st.one_of(
+    st.integers(-6, 6),
+    st.builds(
+        lambda k, num, den: k + F(num, den),
+        st.integers(-6, 6), st.integers(-3, 3), st.sampled_from([2, 3, 6]),
+    ),
+)
+mixed_lists = st.lists(mixed_entries, min_size=1, max_size=12)
+
+
+def _sorted_with_swap(args) -> Weight:
+    """The entries in increasing order, then two positions swapped: often
+    antidominant, and not when the swap reverses one class."""
+    entries, i, j = args
+    es = sorted(entries)
+    i, j = i % len(es), j % len(es)
+    es[i], es[j] = es[j], es[i]
+    return Weight(es)
+
+
+mixed_weights = st.one_of(
+    mixed_lists.map(Weight),
+    # One class throughout: integral.
+    st.tuples(st.lists(st.integers(-6, 6), min_size=1, max_size=12),
+              mixed_entries).map(lambda t: Weight(x + t[1] for x in t[0])),
+    st.tuples(mixed_lists, st.integers(0, 11), st.integers(0, 11))
+    .map(_sorted_with_swap),
+)
+
+
+def reference_is_integral(w: Weight) -> bool:
+    """`Weight.is_integral` by Fraction subtraction, as it was written
+    before the congruence key."""
+    first = w.entries[0]
+    return all((e - first).denominator == 1 for e in w.entries)
+
+
+def reference_is_antidominant(w: Weight) -> bool:
+    """`Weight.is_antidominant` over all pairs, by Fraction subtraction."""
+    es = w.entries
+    for i in range(len(es)):
+        for j in range(i + 1, len(es)):
+            if (es[i] - es[j]).denominator == 1 and es[i] > es[j]:
+                return False
+    return True
+
+
+def reference_pq_dominance_violation(w: Weight, ctx: PQContext):
+    """`pq_dominance_violation` by Fraction subtraction of adjacent pairs."""
+    es = w.entries
+    for lo, hi in ((0, ctx.p), (ctx.p, ctx.n)):
+        for i in range(lo, hi - 1):
+            d = es[i] - es[i + 1]
+            if d.denominator != 1 or d <= 0:
+                return (i + 1, i + 2)
+    return None
 
 
 class TestParsing:
@@ -80,6 +142,52 @@ class TestCanonicalize:
 
     def test_different_lengths_unequal(self):
         assert Weight([1, 0]) != Weight([1, 0, 0])
+
+
+class TestCongruenceKey:
+    @given(mixed_entries, mixed_entries)
+    def test_equal_iff_integer_difference(self, a, b):
+        assert (congruence_key(a) == congruence_key(b)) == (
+            (F(a) - F(b)).denominator == 1
+        )
+
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**6),
+           st.integers(-10**6, 10**6))
+    def test_invariant_under_integer_shift(self, num, den, k):
+        e = F(num, den)
+        assert congruence_key(e + k) == congruence_key(e)
+
+    def test_int_and_fraction_agree(self):
+        assert congruence_key(-3) == congruence_key(F(4)) == (0, 1)
+        assert congruence_key(F(-1, 2)) == congruence_key(F(7, 2)) == (1, 2)
+
+
+class TestAgainstSubtraction:
+    """The key-based predicates against the Fraction-subtraction forms
+    they replaced."""
+
+    @given(mixed_weights)
+    def test_is_integral(self, w):
+        assert w.is_integral() == reference_is_integral(w)
+
+    @given(mixed_weights)
+    def test_is_antidominant(self, w):
+        assert w.is_antidominant() == reference_is_antidominant(w)
+
+    @given(st.randoms(use_true_random=False), st.integers(2, 12))
+    def test_pq_dominance_violation(self, rng, n):
+        w, ctx = random_dominant_weight(
+            rng, n, integral=rng.random() < 0.8, max_gap=rng.randint(1, 3)
+        )
+        es = list(w.entries)
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(n)
+            es[i] = rng.choice([
+                es[i - 1], es[(i + 1) % n], es[i] + F(1, 2), es[i] + 1,
+                es[i] - 1, int(es[i]) if es[i].denominator == 1 else es[i],
+            ])
+        w = Weight(es)
+        assert pq_dominance_violation(w, ctx) == reference_pq_dominance_violation(w, ctx)
 
 
 class TestIntegral:
