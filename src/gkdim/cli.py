@@ -9,8 +9,9 @@ integers, fractions a/b, or exact decimals).  Subcommands:
     unitary       unitarity thresholds, and the closed-form value at --z
     verify-oracle cross-check the Hecke a-function against the tableau rule
 
-Exit codes: 0 success, 1 parse error, 2 domain error (with a JSON error
-object on stdout).
+Every option is parsed once, before stdin is read, so a bad --z is one parse
+error however many --batch lines follow.  Exit codes: 0 success, 1 parse
+error, 2 domain error (JSON error object on stdout); --batch: the worst line's.
 """
 
 from __future__ import annotations
@@ -67,13 +68,12 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, pq=False, weight=True):
-        if weight:
-            p.add_argument("--weight", help="lambda+rho coordinates, comma-separated")
-            p.add_argument(
-                "--batch", action="store_true",
-                help="read one weight per line from stdin, emit one JSON per line",
-            )
+    def add_common(p, pq=False):
+        p.add_argument("--weight", help="lambda+rho coordinates, comma-separated")
+        p.add_argument(
+            "--batch", action="store_true",
+            help="read one weight per line from stdin, emit one JSON per line",
+        )
         if pq:
             p.add_argument("--pq", required=True, help="p,q (positive integers)")
         p.add_argument(
@@ -152,30 +152,108 @@ def _emit(obj: dict, pretty, output: str) -> None:
         print(pretty())
 
 
-def _run_weight_command(args, compute) -> int:
-    """Dispatch one weight or batch lines through `compute(weight) -> None`."""
-    if args.batch:
-        if args.weight is not None:
-            raise ParseError("--batch and --weight are mutually exclusive")
-        worst = 0
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                compute(parse_weight(line))
-            except ParseError as exc:
-                print(json.dumps({"error": {"code": "parse-error",
-                                            "message": str(exc)}}))
-                worst = max(worst, 1)
-            except DomainError as exc:
-                print(json.dumps({"error": exc.to_json()}))
-                worst = 2
-        return worst
-    if args.weight is None:
-        raise ParseError("--weight is required (or use --batch)")
-    compute(parse_weight(args.weight))
-    return 0
+def _setup(args):
+    """Parse the options of gkdim, hermitian, series or unitary once, before
+    stdin is read; return answer(weight) -> (JSON object, pretty callable)."""
+    if args.command == "gkdim":
+        def answer(w):
+            report = gk_dimension(w)
+            return report.to_json(), lambda: _pretty_gk(report)
+        return answer
+    ctx = _parse_pq(args.pq)
+    if args.command == "hermitian":
+        def answer(w):
+            report = gk_pq(w, ctx)
+            return report.to_json(), lambda: _pretty_hermitian(report)
+        return answer
+    if args.command == "series":
+        z_from, z_to = _parse_z_range(args.z_range)
+
+        def answer(w):
+            series = gkdim_series(w, ctx, z_from, z_to)
+            obj = {
+                "p": ctx.p,
+                "q": ctx.q,
+                "series": [{"z": z, "gk_dimension": g} for z, g in series],
+            }
+            return obj, lambda: "\n".join(
+                f"z = {z}: GK dimension = {g}" for z, g in series
+            )
+        return answer
+    z = None if args.z is None else parse_rational(args.z)
+
+    def answer(w):
+        interval = unitary_interval(w, ctx)
+        obj = interval.to_json()
+        if z is not None:
+            obj["z"] = str(z)
+            obj["gk_dimension"] = unitary_gkdim(w, ctx, z)
+
+        def pretty():
+            lines = [
+                f"p' = {interval.p_prime}   q' = {interval.q_prime}",
+                f"unitary for real z <= {interval.threshold_real} "
+                f"and integer z <= {interval.threshold_int}",
+            ]
+            if z is not None:
+                lines.append(
+                    f"GK dimension at z = {obj['z']}: {obj['gk_dimension']}"
+                )
+            return "\n".join(lines)
+        return obj, pretty
+    return answer
+
+
+def _run(args, answer) -> int:
+    """Answer --weight, or each --batch line of stdin, through `_emit`."""
+    if not args.batch:
+        if args.weight is None:
+            raise ParseError("--weight is required (or use --batch)")
+        _emit(*answer(parse_weight(args.weight)), args.output)
+        return 0
+    if args.weight is not None:
+        raise ParseError("--batch and --weight are mutually exclusive")
+    worst = 0
+    for line in sys.stdin:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj, pretty = answer(parse_weight(line))
+        except ParseError as exc:
+            print(json.dumps({"error": {"code": "parse-error",
+                                        "message": str(exc)}}))
+            worst = max(worst, 1)
+        except DomainError as exc:
+            print(json.dumps({"error": exc.to_json()}))
+            worst = 2
+        else:
+            _emit(obj, pretty, args.output)
+    return worst
+
+
+def _verify_oracle(args) -> int:
+    # Gate before any work: the rank-n table has n! elements.
+    hecke._check_rank(args.rank, hecke.DEFAULT_RANK_BOUND)
+    results = []
+    for n in range(1, args.rank + 1):
+        bad = []
+        for ol in _all_one_lines(range(1, n + 1)):
+            sigma = Permutation(ol)
+            lhs = hecke.a_function_definitional(sigma)
+            rhs = a_value_of_permutation(sigma)
+            if lhs != rhs:
+                bad.append(list(ol))
+        results.append(
+            {"n": n, "checked": math.factorial(n), "discrepancies": bad}
+        )
+    ok = all(not r["discrepancies"] for r in results)
+    _emit({"ok": ok, "ranks": results}, lambda: "\n".join(
+        f"n = {r['n']}: {r['checked']} elements, "
+        + ("MISMATCH" if r["discrepancies"] else "ok")
+        for r in results
+    ), args.output)
+    return 0 if ok else 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -183,88 +261,9 @@ def main(argv: list[str] | None = None) -> int:
         if argv is None:
             argv = sys.argv[1:]
         args = _build_parser().parse_args(_attach_signed_values(argv))
-
-        if args.command == "gkdim":
-            def compute(w):
-                report = gk_dimension(w)
-                _emit(report.to_json(), lambda: _pretty_gk(report), args.output)
-            return _run_weight_command(args, compute)
-
-        if args.command == "hermitian":
-            ctx = _parse_pq(args.pq)
-
-            def compute(w):
-                report = gk_pq(w, ctx)
-                _emit(report.to_json(), lambda: _pretty_hermitian(report),
-                      args.output)
-            return _run_weight_command(args, compute)
-
-        if args.command == "series":
-            ctx = _parse_pq(args.pq)
-            z_from, z_to = _parse_z_range(args.z_range)
-
-            def compute(w):
-                series = gkdim_series(w, ctx, z_from, z_to)
-                obj = {
-                    "p": ctx.p,
-                    "q": ctx.q,
-                    "series": [{"z": z, "gk_dimension": g} for z, g in series],
-                }
-                _emit(obj, lambda: "\n".join(
-                    f"z = {z}: GK dimension = {g}" for z, g in series
-                ), args.output)
-            return _run_weight_command(args, compute)
-
-        if args.command == "unitary":
-            ctx = _parse_pq(args.pq)
-
-            def compute(w):
-                interval = unitary_interval(w, ctx)
-                obj = interval.to_json()
-                if args.z is not None:
-                    z = parse_rational(args.z)
-                    obj["z"] = str(z)
-                    obj["gk_dimension"] = unitary_gkdim(w, ctx, z)
-
-                def pretty():
-                    lines = [
-                        f"p' = {interval.p_prime}   q' = {interval.q_prime}",
-                        f"unitary for real z <= {interval.threshold_real} "
-                        f"and integer z <= {interval.threshold_int}",
-                    ]
-                    if args.z is not None:
-                        lines.append(
-                            f"GK dimension at z = {obj['z']}: {obj['gk_dimension']}"
-                        )
-                    return "\n".join(lines)
-                _emit(obj, pretty, args.output)
-            return _run_weight_command(args, compute)
-
         if args.command == "verify-oracle":
-            # Gate before any work: the rank-n table has n! elements.
-            hecke._check_rank(args.rank, hecke.DEFAULT_RANK_BOUND)
-            results = []
-            for n in range(1, args.rank + 1):
-                bad = []
-                for ol in _all_one_lines(range(1, n + 1)):
-                    sigma = Permutation(ol)
-                    lhs = hecke.a_function_definitional(sigma)
-                    rhs = a_value_of_permutation(sigma)
-                    if lhs != rhs:
-                        bad.append(list(ol))
-                results.append(
-                    {"n": n, "checked": math.factorial(n), "discrepancies": bad}
-                )
-            ok = all(not r["discrepancies"] for r in results)
-            if args.output == "json":
-                print(json.dumps({"ok": ok, "ranks": results}))
-            else:
-                for r in results:
-                    status = "ok" if not r["discrepancies"] else "MISMATCH"
-                    print(f"n = {r['n']}: {r['checked']} elements, {status}")
-            return 0 if ok else 2
-
-        raise ParseError(f"unknown command {args.command!r}")
+            return _verify_oracle(args)
+        return _run(args, _setup(args))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

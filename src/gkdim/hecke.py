@@ -208,12 +208,9 @@ def _kl_basis(n: int) -> _KLBasis:
         d: _Row = {}
         for y, p in basis[rmul[k][i]].items():
             ys = rmul[y][i]
+            # T_y C_s = T_{ys} + v T_y if ys is shorter, else T_{ys} + v^-1 T_y
             _add_shifted(d, ys, p, 1, 0)
-            if ys < y:
-                # T_y T_s = T_{ys} + (v - v^-1) T_y when ys is shorter
-                _add_shifted(d, y, p, 1, 1)
-                _add_shifted(d, y, p, -1, -1)
-            _add_shifted(d, y, p, 1, -1)
+            _add_shifted(d, y, p, 1, 1 if ys < y else -1)
         # Strip constant terms at shorter elements, longest first, so the
         # result is congruent to T_w modulo strictly negative powers of v.
         # Subtracting c C_y touches only y and shorter elements, which come
@@ -248,7 +245,6 @@ def _check_kl_element(perms: Sequence[Permutation], k: int, cw: _Row) -> None:
             )
 
 
-@lru_cache(maxsize=None)
 def _kl_element(w: Permutation) -> HeckeElement:
     kl = _kl_basis(w.n)
     cw = kl.basis[kl.index[w.one_line]]
@@ -421,21 +417,17 @@ _table_lock = threading.Lock()
 @lru_cache(maxsize=None)
 def _a_table(n: int) -> dict[tuple[int, ...], int]:
     with _table_lock:
-        return _build_a_table(n)
-
-
-def _build_a_table(n: int) -> dict[tuple[int, ...], int]:
-    kl = _kl_basis(n)
-    plan = _table_plan(kl)
-    # A larger largest degree means a longer packed cell, so keeping the
-    # longest bit length per column z keeps its largest degree.
-    best = [0] * len(kl.perms)
-    for _, mat in _structure_matrices(kl, plan):
-        for row in mat:
-            for z, p in row.items():
-                bits = p.bit_length()
-                if bits > best[z]:
-                    best[z] = bits
+        kl = _kl_basis(n)
+        plan = _table_plan(kl)
+        # A larger largest degree means a longer packed cell, so keeping the
+        # longest bit length per column z keeps its largest degree.
+        best = [0] * len(kl.perms)
+        for _, mat in _structure_matrices(kl, plan):
+            for row in mat:
+                for z, p in row.items():
+                    bits = p.bit_length()
+                    if bits > best[z]:
+                        best[z] = bits
     return {
         w.one_line: _top_degree(best[k], plan.b, plan.d)
         for k, w in enumerate(kl.perms)

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The rank-5 oracle
-check is marked slow; deselect with ``-m 'not slow'``.
+Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import random
@@ -155,7 +154,6 @@ def test_criterion_07_oracle_fast_ranks():
     )
 
 
-@pytest.mark.slow
 def test_criterion_07_oracle_rank_five():
     t0 = time.perf_counter()
     for ol in permutations(range(1, 6)):

@@ -378,3 +378,161 @@ class TestOverlongNumbers:
         assert bad["error"]["code"] == "parse-error"
         assert "number too long" in bad["error"]["message"]
         assert last["gk_dimension"] == 0
+
+
+# Expected batch output recorded from the CLI before the options were parsed
+# once per invocation.  Each batch has a good line, a parse-error line and,
+# where the command has a precondition, a domain-error line.
+BATCH_GOLDEN = [
+    (
+        ("gkdim",),
+        "1,2,3\n1,x\n\n3,3.5,2,1.5\n",
+        1,
+        '{"n": 3, "nu0": 3, "a_value": 0, "gk_dimension": 3, '
+        '"integral": true, '
+        '"classes": [{"indices": [1, 2, 3], "tableau": [["1", "2", "3"]]}]}\n'
+        '{"error": {"code": "parse-error", '
+        '"message": "not a rational token: \'x\'"}}\n'
+        '{"n": 4, "nu0": 6, "a_value": 2, "gk_dimension": 4, '
+        '"integral": false, '
+        '"classes": [{"indices": [1, 3], "tableau": [["2"], ["3"]]}, '
+        '{"indices": [2, 4], "tableau": [["3/2"], ["7/2"]]}]}\n',
+        "n = 3   nu0 = 3   integral = True\n"
+        "a-value = 0   GK dimension = 3\n"
+        "class at positions [1, 2, 3]:\n"
+        "  1 2 3\n"
+        '{"error": {"code": "parse-error", '
+        '"message": "not a rational token: \'x\'"}}\n'
+        "n = 4   nu0 = 6   integral = False\n"
+        "a-value = 2   GK dimension = 4\n"
+        "class at positions [1, 3]:\n"
+        "  2\n"
+        "  3\n"
+        "class at positions [2, 4]:\n"
+        "  3/2\n"
+        "  7/2\n",
+    ),
+    (
+        ("hermitian", "--pq", "4,6"),
+        "6,5,3,2,9,8,7,4,2,1\n6,5,a\n1,2,3\n",
+        2,
+        '{"p": 4, "q": 6, "integral": true, "m": 4, '
+        '"second_column": ["2", "4", "7", "8"], '
+        '"xi": [3, 2, 1, 1, 1, 1, 1, 0], "gk_dimension": 24, '
+        '"orbit_index": 4, "orbit_dimension": 24}\n'
+        '{"error": {"code": "parse-error", '
+        '"message": "not a rational token: \'a\'"}}\n'
+        '{"error": {"code": "length-mismatch", '
+        '"message": "weight has 3 entries but p+q=10", '
+        '"details": {"weight_length": 3, "p": 4, "q": 6}}}\n',
+        "p = 4   q = 6   integral = True\n"
+        "m = 4   GK dimension = 24\n"
+        "orbit index = 4   orbit dimension = 24\n"
+        "second column (top to bottom): 2, 4, 7, 8\n"
+        "ball signature = (3, 2, 1, 1, 1, 1, 1, 0)\n"
+        '{"error": {"code": "parse-error", '
+        '"message": "not a rational token: \'a\'"}}\n'
+        '{"error": {"code": "length-mismatch", '
+        '"message": "weight has 3 entries but p+q=10", '
+        '"details": {"weight_length": 3, "p": 4, "q": 6}}}\n',
+    ),
+    (
+        ("series", "--pq", "2,3", "--z-range=0,5"),
+        "2,1,4,3,2\n2,1,4,3,\n1,2,3,4,5\n",
+        2,
+        '{"p": 2, "q": 3, "series": [{"z": 0, "gk_dimension": 6}, '
+        '{"z": 1, "gk_dimension": 6}, {"z": 2, "gk_dimension": 6}, '
+        '{"z": 3, "gk_dimension": 4}, {"z": 4, "gk_dimension": 0}, '
+        '{"z": 5, "gk_dimension": 0}]}\n'
+        '{"error": {"code": "parse-error", '
+        '"message": "not a rational token: \'\'"}}\n'
+        '{"error": {"code": "not-pq-dominant", '
+        '"message": "entries 1 and 2 violate (p,q)-dominance", '
+        '"details": {"i": 1, "j": 2, "p": 2, "q": 3}}}\n',
+        "z = 0: GK dimension = 6\n"
+        "z = 1: GK dimension = 6\n"
+        "z = 2: GK dimension = 6\n"
+        "z = 3: GK dimension = 4\n"
+        "z = 4: GK dimension = 0\n"
+        "z = 5: GK dimension = 0\n"
+        '{"error": {"code": "parse-error", '
+        '"message": "not a rational token: \'\'"}}\n'
+        '{"error": {"code": "not-pq-dominant", '
+        '"message": "entries 1 and 2 violate (p,q)-dominance", '
+        '"details": {"i": 1, "j": 2, "p": 2, "q": 3}}}\n',
+    ),
+    (
+        ("unitary", "--pq", "4,4", "--z=1/2"),
+        "3,2,1,0,6,5,4,3\n3,2,1,0,6,5,4,x\n3,2,1,0,6,5,4,2\n",
+        2,
+        '{"p_prime": 4, "q_prime": 4, "threshold_real": 4, '
+        '"threshold_int": 7, "z": "1/2", "gk_dimension": 16}\n'
+        '{"error": {"code": "parse-error", '
+        '"message": "not a rational token: \'x\'"}}\n'
+        '{"error": {"code": "domain-error", '
+        '"message": "first and last entries must coincide", '
+        '"details": {"first": "3", "last": "2"}}}\n',
+        "p' = 4   q' = 4\n"
+        "unitary for real z <= 4 and integer z <= 7\n"
+        "GK dimension at z = 1/2: 16\n"
+        '{"error": {"code": "parse-error", '
+        '"message": "not a rational token: \'x\'"}}\n'
+        '{"error": {"code": "domain-error", '
+        '"message": "first and last entries must coincide", '
+        '"details": {"first": "3", "last": "2"}}}\n',
+    ),
+]
+
+
+class TestRunner:
+    """One runner reads --weight or stdin; options are parsed before it."""
+
+    @pytest.mark.parametrize("output", ["json", "pretty"])
+    @pytest.mark.parametrize(
+        "argv,stdin,code,json_out,pretty_out", BATCH_GOLDEN,
+        ids=[argv[0] for argv, *_ in BATCH_GOLDEN],
+    )
+    def test_batch_golden(self, capsys, monkeypatch, argv, stdin, code,
+                          json_out, pretty_out, output):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        expected = json_out if output == "json" else pretty_out
+        got = run(capsys, *argv, "--batch", "--output", output)
+        assert got == (code, expected, "")
+
+    def test_bad_z_is_one_error_before_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO("3,2,1,0,6,5,4,3\n3,2,1,0,6,5,4,3\n")
+        )
+        code, out, err = run(
+            capsys, "unitary", "--batch", "--pq", "4,4", "--z=abc"
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert "abc" in err
+
+    def test_z_parsed_once_per_invocation(self, capsys, monkeypatch):
+        calls = []
+        parse = gkdim.cli.parse_rational
+
+        def counting(text):
+            calls.append(text)
+            return parse(text)
+        monkeypatch.setattr("gkdim.cli.parse_rational", counting)
+        monkeypatch.setattr("sys.stdin", io.StringIO("3,2,1,0,6,5,4,3\n" * 3))
+        code, out, _ = run(
+            capsys, "unitary", "--batch", "--pq", "4,4", "--z=5"
+        )
+        assert code == 0
+        values = [json.loads(l)["gk_dimension"] for l in out.splitlines()]
+        assert values == [12] * 3
+        assert calls == ["5"]
+
+    def test_verify_oracle_pretty_golden(self, capsys):
+        got = run(capsys, "verify-oracle", "--rank", "3", "--output", "pretty")
+        assert got == (
+            0,
+            "n = 1: 1 elements, ok\n"
+            "n = 2: 2 elements, ok\n"
+            "n = 3: 6 elements, ok\n",
+            "",
+        )

@@ -290,7 +290,6 @@ class TestAFunction:
         for shape, values in by_shape.items():
             assert len(values) == 1, (shape, values)
 
-    @pytest.mark.slow
     @pytest.mark.rank6
     def test_rank6_matches_tableau_rule(self):
         for ol in permutations(range(1, 7)):
