@@ -17,6 +17,7 @@ from .dimension import (
 )
 from .errors import (
     DomainError,
+    InvariantError,
     LengthMismatchError,
     NotIntegralError,
     NotPQDominantError,
@@ -61,7 +62,7 @@ from .permutations import (
     parabolic_longest,
     rs_of_permutation,
 )
-from .tableaux import Shape, Tableau, rs_pair
+from .tableaux import Shape, Tableau, insertion_tableau, rs_pair
 from .weights import (
     PQContext,
     Rational,
@@ -83,6 +84,7 @@ __all__ = [
     "GKReport",
     "HeckeElement",
     "HermitianReport",
+    "InvariantError",
     "LaurentPoly",
     "LengthMismatchError",
     "NormalForm",
@@ -114,6 +116,7 @@ __all__ = [
     "gk_dimension",
     "gk_pq",
     "gkdim_series",
+    "insertion_tableau",
     "is_pq_dominant",
     "kl_basis_element",
     "kl_expand",

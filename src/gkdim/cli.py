@@ -11,7 +11,9 @@ integers, fractions a/b, or exact decimals).  Subcommands:
 
 Every option is parsed once, before stdin is read, so a bad --z is one parse
 error however many --batch lines follow.  Exit codes: 0 success, 1 parse
-error, 2 domain error (JSON error object on stdout); --batch: the worst line's.
+error, 2 domain error, 3 violated internal invariant (two computations that
+must agree did not); 2 and 3 print a JSON error object on stdout.  With
+--batch the status is the worst line's.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import permutations as _all_one_lines
 
 from . import hecke
 from .dimension import GKReport, gk_dimension
-from .errors import DomainError, ParseError
+from .errors import DomainError, InvariantError, ParseError
 from .hermitian import gk_pq, gkdim_series, unitary_gkdim, unitary_interval
 from .permutations import Permutation, a_value_of_permutation
 from .weights import PQContext, parse_rational, parse_weight
@@ -55,7 +57,8 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    # isdigit() alone accepts any Unicode digit, such as "²" or "١".
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer: {text!r}")
     return int(text)
 
@@ -72,7 +75,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--weight", help="lambda+rho coordinates, comma-separated")
         p.add_argument(
             "--batch", action="store_true",
-            help="read one weight per line from stdin, emit one JSON per line",
+            help="read one weight per line from stdin; with --output json, "
+            "emit one JSON object per line",
         )
         if pq:
             p.add_argument("--pq", required=True, help="p,q (positive integers)")
@@ -226,7 +230,10 @@ def _run(args, answer) -> int:
             worst = max(worst, 1)
         except DomainError as exc:
             print(json.dumps({"error": exc.to_json()}))
-            worst = 2
+            worst = max(worst, 2)
+        except InvariantError as exc:
+            print(json.dumps({"error": exc.to_json()}))
+            worst = 3
         else:
             _emit(obj, pretty, args.output)
     return worst
@@ -270,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(json.dumps({"error": exc.to_json()}))
         return 2
+    except InvariantError as exc:
+        print(json.dumps({"error": exc.to_json()}))
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .tableaux import Tableau, rs_pair
+from .tableaux import Tableau, insertion_tableau
 from .weights import Weight, congruence_key
 
 
@@ -76,7 +76,7 @@ class GKReport:
 def gk_dimension(w: Weight) -> GKReport:
     """Full report: n, n(n-1)/2, the a-value and the GK dimension."""
     classes = congruence_decomposition(w)
-    tableaux = tuple(rs_pair(c.entries)[0] for c in classes)
+    tableaux = tuple(insertion_tableau(c.entries) for c in classes)
     total = sum(t.shape().column_statistic() for t in tableaux)
     nu0 = w.n * (w.n - 1) // 2
     return GKReport(

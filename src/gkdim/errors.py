@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package.
 
 ``ParseError`` covers malformed textual input; ``DomainError`` covers
-violated mathematical preconditions.  Every ``DomainError`` carries a stable
-``code`` and a ``details`` dict naming the offending data, so the CLI can
-emit machine-readable error objects.
+violated mathematical preconditions; ``InvariantError`` covers an internal
+cross-check that failed, which no input should cause.  Every ``DomainError``
+and ``InvariantError`` carries a stable ``code`` and a ``details`` dict naming
+the offending data, so the CLI can emit machine-readable error objects.
 """
 
 
@@ -11,10 +12,10 @@ class ParseError(ValueError):
     """Malformed textual input (weight strings, rationals, flags)."""
 
 
-class DomainError(ValueError):
-    """A violated precondition of a library operation."""
+class _CodedError(Exception):
+    """A message with a stable ``code`` and the ``details`` behind it."""
 
-    code = "domain-error"
+    code: str
 
     def __init__(self, message: str, **details):
         super().__init__(message)
@@ -22,6 +23,12 @@ class DomainError(ValueError):
 
     def to_json(self) -> dict:
         return {"code": self.code, "message": str(self), "details": self.details}
+
+
+class DomainError(_CodedError, ValueError):
+    """A violated precondition of a library operation."""
+
+    code = "domain-error"
 
 
 class LengthMismatchError(DomainError):
@@ -58,3 +65,10 @@ class OutsideUnitaryIntervalError(DomainError):
     """z is outside the unitary interval, where no closed form is asserted."""
 
     code = "outside-unitary-interval"
+
+
+class InvariantError(_CodedError, RuntimeError):
+    """Two computations that must agree did not; ``details`` holds the input
+    and both values."""
+
+    code = "invariant-violated"

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import RankBoundError
+from .errors import InvariantError, RankBoundError
 from .laurent import LaurentPoly
 from .permutations import Permutation
 
@@ -234,14 +234,18 @@ def _kl_basis(n: int) -> _KLBasis:
 def _check_kl_element(perms: Sequence[Permutation], k: int, cw: _Row) -> None:
     w = perms[k].one_line
     if cw.get(k) != {0: 1}:
-        raise RuntimeError(
-            f"C_w for w={w}: coefficient of T_w is {LaurentPoly(cw.get(k, {}))}, not 1"
+        coefficient = LaurentPoly(cw.get(k, {}))
+        raise InvariantError(
+            f"C_w for w={w}: coefficient of T_w is {coefficient}, not 1",
+            w=list(w), coefficient=str(coefficient), expected="1",
         )
     for y, p in cw.items():
         if y != k and max(p) >= 0:
-            raise RuntimeError(
+            raise InvariantError(
                 f"C_w for w={w}: coefficient {LaurentPoly(p)} of "
-                f"T_y for y={perms[y].one_line} has a non-negative exponent"
+                f"T_y for y={perms[y].one_line} has a non-negative exponent",
+                w=list(w), y=list(perms[y].one_line),
+                coefficient=str(LaurentPoly(p)), max_exponent=max(p),
             )
 
 

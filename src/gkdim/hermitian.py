@@ -18,14 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dimension import gk_dimension
 from .errors import (
     DomainError,
+    InvariantError,
     NotIntegralError,
     NotPQDominantError,
     OutsideUnitaryIntervalError,
     ZRangeBoundError,
 )
+from .tableaux import insertion_tableau
 from .weights import (
     PQContext,
     Weight,
@@ -33,6 +34,10 @@ from .weights import (
     congruence_key,
     pq_dominance_violation,
 )
+
+
+def _entries_json(w: Weight) -> list[str]:
+    return [str(e) for e in w.entries]
 
 
 def _require_pq_dominant(w: Weight, ctx: PQContext) -> None:
@@ -125,6 +130,12 @@ def xi_signature(w: Weight, ctx: PQContext) -> BallSignature:
     """
     _require_pq_dominant(w, ctx)
     _require_integral(w, ctx)
+    return _merged_signature(w, ctx)
+
+
+def _merged_signature(w: Weight, ctx: PQContext) -> BallSignature:
+    """The merge of `xi_signature`, for a weight already known to be
+    integral and (p,q)-dominant."""
     # All entries share one congruence key, hence one denominator, so their
     # numerators order them.
     blacks = [e.numerator for e in w.entries[: ctx.p]]
@@ -317,15 +328,18 @@ def gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
     _require_pq_dominant(w, ctx)
     n = ctx.n
     if _integral_across_split(w, ctx):
-        tab = gk_dimension(w).tableaux[0]
-        second = tab.column(2)
-        xi = xi_signature(w, ctx)
+        # Dominance makes each half one congruence class and the split joins
+        # them, so the whole weight is the one class to insert.
+        second = insertion_tableau(w.entries).column(2)
+        xi = _merged_signature(w, ctx)
         m = ball_model_m(xi)
         if m != len(second):
-            raise RuntimeError(
+            raise InvariantError(
                 f"gk_pq of {w} for (p,q)=({ctx.p},{ctx.q}): tableau and ball "
                 f"model disagree: second column of length {len(second)}, "
-                f"ball model m = {m} from {xi}"
+                f"ball model m = {m} from {xi}",
+                function="gk_pq", weight=_entries_json(w), p=ctx.p, q=ctx.q,
+                tableau_m=len(second), ball_model_m=m, xi=list(xi.runs),
             )
         return HermitianReport(
             p=ctx.p, q=ctx.q, integral=True, m=m,
@@ -422,9 +436,11 @@ def unitary_gkdim(tilde_w: Weight, ctx: PQContext, z: Fraction | int) -> int:
         value = int(z + 1) * int(n - z - 1)
     actual = gk_pq(add_z_zeta(tilde_w, ctx, z), ctx).gk_dimension
     if actual != value:
-        raise RuntimeError(
+        raise InvariantError(
             f"unitary_gkdim of {tilde_w} for (p,q)=({p},{q}) at z={z}: "
-            f"closed form {value} disagrees with direct computation {actual}"
+            f"closed form {value} disagrees with direct computation {actual}",
+            function="unitary_gkdim", weight=_entries_json(tilde_w), p=p, q=q,
+            z=str(z), closed_form=value, direct=actual,
         )
     return value
 
@@ -457,18 +473,24 @@ def gkdim_series(
     ]
     for (z0, g0), (z1, g1) in zip(series, series[1:]):
         if g0 < g1:
-            raise RuntimeError(
+            raise InvariantError(
                 f"gkdim_series of {tilde_w} for (p,q)=({ctx.p},{ctx.q}): "
                 f"series is not weakly decreasing: GK dimension {g0} at "
-                f"z={z0} but {g1} at z={z1}; values {[g for _, g in series]}"
+                f"z={z0} but {g1} at z={z1}; values {[g for _, g in series]}",
+                function="gkdim_series", weight=_entries_json(tilde_w),
+                p=ctx.p, q=ctx.q, z=z0, gk_dimension=g0, next_z=z1,
+                next_gk_dimension=g1,
             )
     if _integral_across_split(tilde_w, ctx):
         threshold = tilde_w.entries[ctx.p] - tilde_w.entries[ctx.p - 1] + 1
         for z, g in series:
             if z > threshold and g != 0:
-                raise RuntimeError(
+                raise InvariantError(
                     f"gkdim_series of {tilde_w} for (p,q)=({ctx.p},{ctx.q}): "
                     f"GK dimension {g} at z={z}, expected 0 beyond threshold "
-                    f"{threshold}"
+                    f"{threshold}",
+                    function="gkdim_series", weight=_entries_json(tilde_w),
+                    p=ctx.p, q=ctx.q, z=z, gk_dimension=g, expected=0,
+                    threshold=str(threshold),
                 )
     return series

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import NotIntegralError
-from .tableaux import Shape, Tableau, rs_pair
+from .tableaux import Shape, Tableau, insertion_tableau, rs_pair
 from .weights import Weight
 
 
@@ -135,8 +135,7 @@ def rs_of_permutation(a: Permutation) -> tuple[Tableau, Tableau]:
 
 def a_value_of_permutation(a: Permutation) -> int:
     """Column statistic of the insertion tableau shape."""
-    p, _ = rs_of_permutation(a)
-    return p.shape().column_statistic()
+    return insertion_tableau(a.one_line).shape().column_statistic()
 
 
 def parabolic_longest(s: Shape, n: int) -> Permutation:

@@ -172,6 +172,18 @@ def _validate(rows: tuple[tuple[Entry, ...], ...]) -> None:
             raise ValueError(f"column not strictly increasing at row {i + 2}")
 
 
+def insertion_tableau(seq: Iterable[Entry]) -> Tableau:
+    """Insertion tableau P of a sequence, with no recording tableau.
+
+    >>> insertion_tableau([3, 5, 2, 2, 1]).rows
+    ((1, 2), (2, 5), (3,))
+    """
+    rows: list[list[Entry]] = []
+    for x in seq:
+        _row_insert(rows, x)
+    return Tableau(rows)
+
+
 def rs_pair(seq: Iterable[Entry]) -> tuple[Tableau, Tableau]:
     """Insertion tableau P and standard recording tableau Q of a sequence.
 

@@ -227,12 +227,15 @@ class TestVerifyOracleCommand:
         assert error["code"] == "rank-bound-exceeded"
         assert error["details"] == {"n": 6, "rank_bound": 5}
 
-    @pytest.mark.parametrize("rank", ["0", "-1", "x"])
+    # "²" and "١" (Arabic-Indic one) are Unicode digits that int() rejects
+    # or reads as 1.
+    @pytest.mark.parametrize("rank", ["0", "-1", "x", "²", "١"])
     def test_nonpositive_rank_is_parse_error(self, capsys, rank):
         code, out, err = run(capsys, "verify-oracle", "--rank", rank)
         assert code == 1
         assert out == ""
         assert "--rank" in err
+        assert "expected a positive integer" in err
 
 
 class TestBatchMode:
@@ -252,6 +255,35 @@ class TestBatchMode:
         lines = [json.loads(l) for l in out.strip().splitlines()]
         assert "gk_dimension" in lines[0]
         assert lines[1]["error"]["code"] == "not-pq-dominant"
+
+    def test_invariant_violation_is_per_line(self, capsys, monkeypatch):
+        real = gkdim.hermitian.ball_model_m
+        monkeypatch.setattr(
+            gkdim.hermitian, "ball_model_m",
+            lambda xi: 0 if xi.runs == (3, 2, 1, 1, 1, 1, 1, 0) else real(xi),
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "9,8,7,6,5,4,3,2,1,0\n"
+            "6,5,3,2,9,8,7,4,2,1\n"
+            "9.5,8.5,7.5,6.5,5,4,3,2,1,0\n"
+            "1,2,3,4,5,6,7,8,9,10\n"
+        ))
+        code, out, err = run(capsys, "hermitian", "--batch", "--pq", "4,6")
+        assert (code, err) == (3, "")
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert [l.get("gk_dimension") for l in lines] == [0, None, 24, None]
+        error = lines[1]["error"]
+        assert error["code"] == "invariant-violated"
+        assert (error["details"]["tableau_m"], error["details"]["ball_model_m"]) == (4, 0)
+        assert lines[3]["error"]["code"] == "not-pq-dominant"
+
+    def test_invariant_violation_single_weight(self, capsys, monkeypatch):
+        monkeypatch.setattr(gkdim.hermitian, "ball_model_m", lambda xi: 0)
+        code, out, err = run(
+            capsys, "hermitian", "--weight", "6,5,3,2,9,8,7,4,2,1", "--pq", "4,6"
+        )
+        assert (code, err) == (3, "")
+        assert json.loads(out)["error"]["code"] == "invariant-violated"
 
     def test_batch_excludes_weight_flag(self, capsys):
         code, _, _ = run(capsys, "gkdim", "--batch", "--weight", "1,2")

@@ -216,10 +216,14 @@ class TestKLBasisAgainstReference:
 
     def test_invariant_failures_name_the_element(self):
         perms = _kl_basis(2).perms
-        with pytest.raises(RuntimeError, match=r"w=\(2, 1\).*not 1"):
+        with pytest.raises(RuntimeError, match=r"w=\(2, 1\).*not 1") as info:
             _check_kl_element(perms, 1, {1: {0: 2}, 0: {-1: 1}})
-        with pytest.raises(RuntimeError, match=r"w=\(2, 1\).*y=\(1, 2\)"):
+        assert info.value.to_json()["code"] == "invariant-violated"
+        assert info.value.details["w"] == [2, 1]
+        with pytest.raises(RuntimeError, match=r"w=\(2, 1\).*y=\(1, 2\)") as info:
             _check_kl_element(perms, 1, {1: {0: 1}, 0: {0: 1, -1: 1}})
+        assert info.value.details["y"] == [1, 2]
+        assert info.value.details["max_exponent"] == 0
 
     def test_invariant_checks_survive_optimize(self):
         code = (

@@ -19,6 +19,7 @@ from gkdim import (
     AlgebraWord,
     BallSignature,
     DomainError,
+    InvariantError,
     NotIntegralError,
     NotPQDominantError,
     OutsideUnitaryIntervalError,
@@ -352,6 +353,19 @@ class TestGkPQ:
             gk_pq(Weight([1, 2, 2, 1]), PQContext(2, 2))
         assert exc.value.details["i"] == 1 and exc.value.details["j"] == 2
 
+    def test_checks_dominance_once(self, monkeypatch):
+        calls = []
+        check = gkdim.hermitian.pq_dominance_violation
+
+        def counting(w, ctx):
+            calls.append(w)
+            return check(w, ctx)
+        monkeypatch.setattr(gkdim.hermitian, "pq_dominance_violation", counting)
+        for w, ctx in ((EX54, CTX54), (Weight([1, F(1, 2)]), PQContext(1, 1))):
+            calls.clear()
+            gk_pq(w, ctx)
+            assert calls == [w]
+
     def test_json_round_trip(self):
         obj = json.loads(json.dumps(gk_pq(EX54, CTX54).to_json()))
         assert set(obj) == {
@@ -390,12 +404,19 @@ class TestQuadrupleAgreement:
     @given(st.randoms(use_true_random=False), st.integers(2, 14))
     def test_random_weights(self, rng, n):
         w, ctx = random_dominant_weight(rng, n)
-        m_tab = len(rs_pair(w.entries)[0].column(2))
+        # A common shift keeps the weight integral but makes entries fractional.
+        shift = rng.choice([0, F(1, 2), F(-2, 3)])
+        w = Weight(e + shift for e in w.entries)
+        second = rs_pair(w.entries)[0].column(2)
+        m_tab = len(second)
         m_del = len(second_column_by_deletion(w, ctx))
         sig = xi_signature(w, ctx)
         m_ball = ball_model_m(sig)
         m_alg = algebra_normal_form(AlgebraWord.from_signature(sig)).v_exp
-        assert m_tab == m_del == m_ball == m_alg
+        report = gk_pq(w, ctx)
+        assert m_tab == m_del == m_ball == m_alg == report.m
+        assert list(report.second_column) == list(second)
+        assert report.xi == sig
 
     def test_same_signature_same_shape(self):
         """Weights realizing the same ball line have equal tableau shapes."""
@@ -588,8 +609,16 @@ class TestCrossCheckErrors:
             match=r"gk_pq of Weight\(6, 5, 3, 2, 9, 8, 7, 4, 2, 1\) for "
             r"\(p,q\)=\(4,6\): tableau and ball model disagree: second column "
             r"of length 4, ball model m = 0 from BallSignature\(3, 2, 1, 1, 1, 1, 1, 0\)",
-        ):
+        ) as info:
             gk_pq(EX54, CTX54)
+        assert isinstance(info.value, InvariantError)
+        assert info.value.to_json()["code"] == "invariant-violated"
+        assert info.value.details == {
+            "function": "gk_pq",
+            "weight": ["6", "5", "3", "2", "9", "8", "7", "4", "2", "1"],
+            "p": 4, "q": 6, "tableau_m": 4, "ball_model_m": 0,
+            "xi": [3, 2, 1, 1, 1, 1, 1, 0],
+        }
 
     def test_unitary_closed_form_against_direct(self, monkeypatch):
         monkeypatch.setattr(gkdim.hermitian, "gk_pq", _fake_gk_pq([5]))
@@ -597,8 +626,11 @@ class TestCrossCheckErrors:
             RuntimeError,
             match=r"unitary_gkdim of Weight\(2, 1, 4, 3, 2\) for \(p,q\)=\(2,3\) "
             r"at z=0: closed form 6 disagrees with direct computation 5",
-        ):
+        ) as info:
             unitary_gkdim(mu_tilde(2, 3), PQContext(2, 3), 0)
+        assert isinstance(info.value, InvariantError)
+        assert info.value.details["closed_form"] == 6
+        assert info.value.details["direct"] == 5
 
     def test_series_not_decreasing(self, monkeypatch):
         monkeypatch.setattr(gkdim.hermitian, "gk_pq", _fake_gk_pq([3, 5, 5]))
@@ -607,8 +639,11 @@ class TestCrossCheckErrors:
             match=r"gkdim_series of Weight\(2, 1, 4, 3, 2\) for \(p,q\)=\(2,3\): "
             r"series is not weakly decreasing: GK dimension 3 at z=0 but 5 "
             r"at z=1; values \[3, 5, 5\]",
-        ):
+        ) as info:
             gkdim_series(mu_tilde(2, 3), PQContext(2, 3), 0, 2)
+        assert isinstance(info.value, InvariantError)
+        assert info.value.details["gk_dimension"] == 3
+        assert info.value.details["next_gk_dimension"] == 5
 
     def test_series_nonzero_beyond_threshold(self, monkeypatch):
         monkeypatch.setattr(gkdim.hermitian, "gk_pq", _fake_gk_pq([1] * 4))
@@ -616,5 +651,8 @@ class TestCrossCheckErrors:
             RuntimeError,
             match=r"gkdim_series of Weight\(2, 1, 4, 3, 2\) for \(p,q\)=\(2,3\): "
             r"GK dimension 1 at z=5, expected 0 beyond threshold 4",
-        ):
+        ) as info:
             gkdim_series(mu_tilde(2, 3), PQContext(2, 3), 3, 6)
+        assert isinstance(info.value, InvariantError)
+        assert info.value.details["gk_dimension"] == 1
+        assert info.value.details["expected"] == 0

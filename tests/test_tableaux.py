@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gkdim import Shape, Tableau, rs_pair
+from gkdim import Shape, Tableau, insertion_tableau, rs_pair
 
 entry_lists = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=6),
@@ -164,6 +164,7 @@ class TestAgainstReference:
         p, q = rs_pair(seq)
         assert p.rows == p_ref
         assert q.rows == q_ref
+        assert insertion_tableau(seq).rows == p_ref
 
     @given(repeat_heavy_lists)
     def test_folded_insert(self, seq):
