@@ -13,7 +13,9 @@ Every option is parsed once, before stdin is read, so a bad --z is one parse
 error however many --batch lines follow.  Exit codes: 0 success, 1 parse
 error, 2 domain error, 3 violated internal invariant (two computations that
 must agree did not); 2 and 3 print a JSON error object on stdout.  With
---batch the status is the worst line's.
+--batch the status is the worst line's.  If the reader closes stdout early,
+as `| head` does, output stops silently with status 141 (128 + SIGPIPE, the
+status a shell reports for a program that a closed pipe stops).
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from itertools import permutations as _all_one_lines
 
 from . import hecke
 from .dimension import GKReport, gk_dimension
 from .errors import DomainError, InvariantError, ParseError
-from .hermitian import gk_pq, gkdim_series, unitary_gkdim, unitary_interval
+from .hermitian import _unitary_gkdim, gk_pq, gkdim_series, unitary_interval
 from .permutations import Permutation, a_value_of_permutation
 from .weights import PQContext, parse_rational, parse_weight
 
@@ -60,6 +63,15 @@ def _positive_int(text: str) -> int:
     # isdigit() alone accepts any Unicode digit, such as "²" or "١".
     if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer: {text!r}")
+    return int(text)
+
+
+def _ascii_int(text: str) -> int:
+    """int(text) for an optional sign and ASCII digits, as `_positive_int`
+    tests them; int() alone also takes Unicode digits and "1_0"."""
+    digits = text.strip().lstrip("+-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
     return int(text)
 
 
@@ -107,14 +119,14 @@ def _build_parser() -> _Parser:
 def _parse_pq(text: str) -> PQContext:
     try:
         p_str, q_str = text.split(",")
-        return PQContext(int(p_str), int(q_str))
+        return PQContext(_ascii_int(p_str), _ascii_int(q_str))
     except (ValueError, TypeError):
         raise ParseError(f"expected p,q with positive integers: {text!r}") from None
 
 
 def _parse_z_range(text: str) -> tuple[int, int]:
     try:
-        lo, hi = (int(t) for t in text.split(","))
+        lo, hi = (_ascii_int(t) for t in text.split(","))
         return lo, hi
     except (ValueError, TypeError):
         raise ParseError(f"expected z_from,z_to integers: {text!r}") from None
@@ -191,7 +203,7 @@ def _setup(args):
         obj = interval.to_json()
         if z is not None:
             obj["z"] = str(z)
-            obj["gk_dimension"] = unitary_gkdim(w, ctx, z)
+            obj["gk_dimension"] = _unitary_gkdim(w, ctx, interval, z)
 
         def pretty():
             lines = [
@@ -228,12 +240,9 @@ def _run(args, answer) -> int:
             print(json.dumps({"error": {"code": "parse-error",
                                         "message": str(exc)}}))
             worst = max(worst, 1)
-        except DomainError as exc:
+        except (DomainError, InvariantError) as exc:
             print(json.dumps({"error": exc.to_json()}))
-            worst = max(worst, 2)
-        except InvariantError as exc:
-            print(json.dumps({"error": exc.to_json()}))
-            worst = 3
+            worst = max(worst, 3 if isinstance(exc, InvariantError) else 2)
         else:
             _emit(obj, pretty, args.output)
     return worst
@@ -263,10 +272,8 @@ def _verify_oracle(args) -> int:
     return 0 if ok else 2
 
 
-def main(argv: list[str] | None = None) -> int:
+def _command(argv: list[str]) -> int:
     try:
-        if argv is None:
-            argv = sys.argv[1:]
         args = _build_parser().parse_args(_attach_signed_values(argv))
         if args.command == "verify-oracle":
             return _verify_oracle(args)
@@ -274,12 +281,22 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DomainError as exc:
+    except (DomainError, InvariantError) as exc:
         print(json.dumps({"error": exc.to_json()}))
-        return 2
-    except InvariantError as exc:
-        print(json.dumps({"error": exc.to_json()}))
-        return 3
+        return 3 if isinstance(exc, InvariantError) else 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        status = _command(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone, and Python flushes stdout again at exit: point
+        # it at the null device (the Python docs' recipe, note on SIGPIPE).
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

@@ -36,10 +36,6 @@ from .weights import (
 )
 
 
-def _entries_json(w: Weight) -> list[str]:
-    return [str(e) for e in w.entries]
-
-
 def _require_pq_dominant(w: Weight, ctx: PQContext) -> None:
     bad = pq_dominance_violation(w, ctx)
     if bad is not None:
@@ -53,7 +49,8 @@ def _integral_across_split(w: Weight, ctx: PQContext) -> bool:
     return congruence_key(w.entries[0]) == congruence_key(w.entries[ctx.p])
 
 
-def _require_integral(w: Weight, ctx: PQContext) -> None:
+def _require_integral_dominant(w: Weight, ctx: PQContext) -> None:
+    _require_pq_dominant(w, ctx)
     if not _integral_across_split(w, ctx):
         raise NotIntegralError(
             "weight is not integral across the (p,q) split",
@@ -61,6 +58,7 @@ def _require_integral(w: Weight, ctx: PQContext) -> None:
         )
 
 
+@dataclass(frozen=True)
 class BallSignature:
     """Alternating white/black run lengths (a1, b1, ..., ar, br).
 
@@ -68,7 +66,7 @@ class BallSignature:
     black run may vanish.
     """
 
-    __slots__ = ("runs",)
+    runs: tuple[int, ...]
 
     def __init__(self, runs: Iterable[int]):
         rs = tuple(int(x) for x in runs)
@@ -79,9 +77,6 @@ class BallSignature:
         if any(x == 0 for x in rs[1:-1]):
             raise ValueError("interior run lengths must be positive")
         object.__setattr__(self, "runs", rs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BallSignature is immutable")
 
     @property
     def white_runs(self) -> tuple[int, ...]:
@@ -106,14 +101,6 @@ class BallSignature:
             out.extend(("w" if k % 2 == 0 else "b") * run)
         return tuple(out)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BallSignature):
-            return NotImplemented
-        return self.runs == other.runs
-
-    def __hash__(self) -> int:
-        return hash(self.runs)
-
     def __repr__(self) -> str:
         return f"BallSignature{self.runs}"
 
@@ -128,8 +115,7 @@ def xi_signature(w: Weight, ctx: PQContext) -> BallSignature:
     of blacks above the next white.  The first white run and the last black
     run may be empty; every other run holds at least one ball.
     """
-    _require_pq_dominant(w, ctx)
-    _require_integral(w, ctx)
+    _require_integral_dominant(w, ctx)
     return _merged_signature(w, ctx)
 
 
@@ -189,8 +175,7 @@ def second_column_by_deletion(w: Weight, ctx: PQContext) -> list[Fraction]:
     least one white entry are deleted; the emitted entry is the lowest
     surviving white bound (the k-th white when the last black fits below
     white k, the last white when even it is too big)."""
-    _require_pq_dominant(w, ctx)
-    _require_integral(w, ctx)
+    _require_integral_dominant(w, ctx)
     blacks = list(w.entries[: ctx.p])
     whites = list(w.entries[ctx.p :])
     column: list[Fraction] = []
@@ -326,8 +311,16 @@ def gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
     orbit index is min(p,q).
     """
     _require_pq_dominant(w, ctx)
+    return _dominant_gk_pq(w, ctx)
+
+
+def _dominant_gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
+    """The body of `gk_pq`, for a weight already known to be (p,q)-dominant."""
     n = ctx.n
-    if _integral_across_split(w, ctx):
+    second = xi = None
+    m = min(ctx.p, ctx.q)
+    integral = _integral_across_split(w, ctx)
+    if integral:
         # Dominance makes each half one congruence class and the split joins
         # them, so the whole weight is the one class to insert.
         second = insertion_tableau(w.entries).column(2)
@@ -338,21 +331,13 @@ def gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
                 f"gk_pq of {w} for (p,q)=({ctx.p},{ctx.q}): tableau and ball "
                 f"model disagree: second column of length {len(second)}, "
                 f"ball model m = {m} from {xi}",
-                function="gk_pq", weight=_entries_json(w), p=ctx.p, q=ctx.q,
+                function="gk_pq", weight=w.to_strings(), p=ctx.p, q=ctx.q,
                 tableau_m=len(second), ball_model_m=m, xi=list(xi.runs),
             )
-        return HermitianReport(
-            p=ctx.p, q=ctx.q, integral=True, m=m,
-            second_column=second, xi=xi,
-            gk_dimension=m * (n - m), orbit_index=m,
-            orbit_dimension=m * (n - m),
-        )
-    r = min(ctx.p, ctx.q)
     return HermitianReport(
-        p=ctx.p, q=ctx.q, integral=False, m=r,
-        second_column=None, xi=None,
-        gk_dimension=ctx.p * ctx.q, orbit_index=r,
-        orbit_dimension=r * (n - r),
+        p=ctx.p, q=ctx.q, integral=integral, m=m, second_column=second, xi=xi,
+        gk_dimension=m * (n - m) if integral else ctx.p * ctx.q,
+        orbit_index=m, orbit_dimension=m * (n - m),
     )
 
 
@@ -400,8 +385,7 @@ def unitary_interval(tilde_w: Weight, ctx: PQContext) -> UnitaryInterval:
     the trailing entries of the white half.  Requires a (p,q)-dominant
     weight with first entry equal to last.
     """
-    _require_pq_dominant(tilde_w, ctx)
-    _require_integral(tilde_w, ctx)
+    _require_integral_dominant(tilde_w, ctx)
     es = tilde_w.entries
     if es[0] != es[-1]:
         raise DomainError(
@@ -420,7 +404,14 @@ def unitary_interval(tilde_w: Weight, ctx: PQContext) -> UnitaryInterval:
 def unitary_gkdim(tilde_w: Weight, ctx: PQContext, z: Fraction | int) -> int:
     """GK dimension at a unitary point z, by the closed form; cross-checked
     against the full computation on the shifted weight."""
-    interval = unitary_interval(tilde_w, ctx)
+    return _unitary_gkdim(tilde_w, ctx, unitary_interval(tilde_w, ctx), z)
+
+
+def _unitary_gkdim(
+    tilde_w: Weight, ctx: PQContext, interval: UnitaryInterval, z: Fraction | int
+) -> int:
+    """`unitary_gkdim` given interval = unitary_interval(tilde_w, ctx), which
+    has checked that tilde_w, and so each weight on its z-line, is dominant."""
     z = Fraction(z)
     if not interval.contains(z):
         raise OutsideUnitaryIntervalError(
@@ -428,18 +419,16 @@ def unitary_gkdim(tilde_w: Weight, ctx: PQContext, z: Fraction | int) -> int:
             z=str(z), **interval.to_json(),
         )
     p, q, n = ctx.p, ctx.q, ctx.n
-    if z.denominator != 1:
-        value = p * q
-    elif z < max(p, q):
+    if z.denominator != 1 or z < max(p, q):
         value = p * q
     else:
         value = int(z + 1) * int(n - z - 1)
-    actual = gk_pq(add_z_zeta(tilde_w, ctx, z), ctx).gk_dimension
+    actual = _dominant_gk_pq(add_z_zeta(tilde_w, ctx, z), ctx).gk_dimension
     if actual != value:
         raise InvariantError(
             f"unitary_gkdim of {tilde_w} for (p,q)=({p},{q}) at z={z}: "
             f"closed form {value} disagrees with direct computation {actual}",
-            function="unitary_gkdim", weight=_entries_json(tilde_w), p=p, q=q,
+            function="unitary_gkdim", weight=tilde_w.to_strings(), p=p, q=q,
             z=str(z), closed_form=value, direct=actual,
         )
     return value
@@ -467,8 +456,10 @@ def gkdim_series(
             f"got {z_to - z_from + 1}",
             z_from=z_from, z_to=z_to, z_range_bound=Z_RANGE_BOUND,
         )
+    # Adding z to the first p entries keeps each half's congruence key and
+    # order, so every weight on the line is dominant, as tilde_w is.
     series = [
-        (z, gk_pq(add_z_zeta(tilde_w, ctx, z), ctx).gk_dimension)
+        (z, _dominant_gk_pq(add_z_zeta(tilde_w, ctx, z), ctx).gk_dimension)
         for z in range(z_from, z_to + 1)
     ]
     for (z0, g0), (z1, g1) in zip(series, series[1:]):
@@ -477,7 +468,7 @@ def gkdim_series(
                 f"gkdim_series of {tilde_w} for (p,q)=({ctx.p},{ctx.q}): "
                 f"series is not weakly decreasing: GK dimension {g0} at "
                 f"z={z0} but {g1} at z={z1}; values {[g for _, g in series]}",
-                function="gkdim_series", weight=_entries_json(tilde_w),
+                function="gkdim_series", weight=tilde_w.to_strings(),
                 p=ctx.p, q=ctx.q, z=z0, gk_dimension=g0, next_z=z1,
                 next_gk_dimension=g1,
             )
@@ -489,7 +480,7 @@ def gkdim_series(
                     f"gkdim_series of {tilde_w} for (p,q)=({ctx.p},{ctx.q}): "
                     f"GK dimension {g} at z={z}, expected 0 beyond threshold "
                     f"{threshold}",
-                    function="gkdim_series", weight=_entries_json(tilde_w),
+                    function="gkdim_series", weight=tilde_w.to_strings(),
                     p=ctx.p, q=ctx.q, z=z, gk_dimension=g, expected=0,
                     threshold=str(threshold),
                 )

@@ -11,6 +11,7 @@ No floating point is used anywhere: entries are ``fractions.Fraction``.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -18,7 +19,8 @@ from .errors import LengthMismatchError, ParseError
 
 Rational = Fraction
 
-_TOKEN = re.compile(r"^[+-]?\d+(\.\d+)?$|^[+-]?\d+/\d+$")
+# ASCII: a bare \d also matches any Unicode digit, such as "١".
+_TOKEN = re.compile(r"^[+-]?\d+(\.\d+)?$|^[+-]?\d+/\d+$", re.ASCII)
 
 
 def parse_rational(token: str) -> Fraction:
@@ -139,34 +141,20 @@ class Weight:
         return [str(e) for e in self.entries]
 
 
+@dataclass(frozen=True)
 class PQContext:
     """The signature (p, q) of su(p,q); pairs with weights of length p+q."""
 
-    __slots__ = ("p", "q")
+    p: int
+    q: int
 
-    def __init__(self, p: int, q: int):
-        if p < 1 or q < 1:
+    def __post_init__(self):
+        if self.p < 1 or self.q < 1:
             raise ValueError("p and q must be positive")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PQContext is immutable")
 
     @property
     def n(self) -> int:
         return self.p + self.q
-
-    def __repr__(self) -> str:
-        return f"PQContext(p={self.p}, q={self.q})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PQContext):
-            return NotImplemented
-        return (self.p, self.q) == (other.p, other.q)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
 
     def check(self, w: Weight) -> None:
         if self.n != w.n:

@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# "١", "٢", "٣" (Arabic-Indic digits) are Unicode digits that int() and a
+# bare regex \d accept; int() also accepts underscores, as in "1_0".
+def assert_parse_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
 
 
 class TestGKdimCommand:
@@ -51,6 +63,10 @@ class TestGKdimCommand:
         code, _, err = run(capsys, "gkdim", "--weight", "")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("weight", ["٣,٢,١", "3,2,1_0"])
+    def test_non_ascii_digit_weight_is_parse_error(self, capsys, weight):
+        assert_parse_error(capsys, "gkdim", "--weight", weight)
 
     def test_z_flag_rejected(self, capsys):
         code, _, err = run(capsys, "gkdim", "--weight", "1,2", "--z", "1")
@@ -108,6 +124,12 @@ class TestHermitianCommand:
     def test_bad_pq(self, capsys):
         code, _, _ = run(capsys, "hermitian", "--weight", "1,2", "--pq", "x,1")
         assert code == 1
+
+    @pytest.mark.parametrize("pq", ["٢,٣", "2,3_0", "²,3"])
+    def test_non_ascii_digit_pq_is_parse_error(self, capsys, pq):
+        assert_parse_error(
+            capsys, "hermitian", "--weight", "3,2,4,3,2", "--pq", pq
+        )
 
 
 class TestSeriesCommand:
@@ -167,6 +189,13 @@ class TestSeriesCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("z_range", ["0,1_0", "٠,١", "-١,3"])
+    def test_non_ascii_digit_range_is_parse_error(self, capsys, z_range):
+        assert_parse_error(
+            capsys, "series", "--weight", "2,1,4,3,2", "--pq", "2,3",
+            f"--z-range={z_range}",
+        )
+
 
 class TestUnitaryCommand:
     def test_interval_only(self, capsys):
@@ -202,6 +231,36 @@ class TestUnitaryCommand:
         )
         assert code == 2
         assert json.loads(out)["error"]["code"] == "outside-unitary-interval"
+
+    @pytest.mark.parametrize("z", ["١", "1_0", "-١/2"])
+    def test_non_ascii_digit_z_is_parse_error(self, capsys, z):
+        assert_parse_error(
+            capsys, "unitary", "--weight", "2,1,4,3,2", "--pq", "2,3", f"--z={z}"
+        )
+
+    def test_z_line_checks_dominance_once(self, capsys, monkeypatch):
+        """One `unitary --z` answer checks its weight once and builds one
+        unitarity interval."""
+        checks, intervals = [], []
+        check = gkdim.hermitian.pq_dominance_violation
+        build = gkdim.hermitian.unitary_interval
+
+        def counting_check(w, ctx):
+            checks.append(w)
+            return check(w, ctx)
+
+        def counting_build(w, ctx):
+            intervals.append(w)
+            return build(w, ctx)
+        monkeypatch.setattr(gkdim.hermitian, "pq_dominance_violation",
+                            counting_check)
+        for module in (gkdim.hermitian, gkdim.cli):
+            monkeypatch.setattr(module, "unitary_interval", counting_build)
+        code, out, _ = run(
+            capsys, "unitary", "--weight", "2,1,4,3,2", "--pq", "2,3", "--z=1"
+        )
+        assert (code, json.loads(out)["gk_dimension"]) == (0, 6)
+        assert (len(checks), len(intervals)) == (1, 1)
 
 
 class TestVerifyOracleCommand:
@@ -568,3 +627,56 @@ class TestRunner:
             "n = 3: 6 elements, ok\n",
             "",
         )
+
+
+SRC = str(Path(gkdim.__file__).resolve().parents[1])
+SERIES_WEIGHT = "6,5,4,3,11,10,9,8,7,6"
+
+
+def _cli_env(buffered: bool) -> dict:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+class TestClosedStdout:
+    """A reader that closes stdout early, as `| head` does, stops the output
+    with status 141 and nothing on stderr."""
+
+    def test_batch_reader_closes_after_first_line(self, tmp_path, buffered):
+        # Enough answers to overflow the pipe, so a write meets the closed end.
+        stdin = tmp_path / "weights.txt"
+        stdin.write_text(f"{SERIES_WEIGHT}\n" * 3000)
+        with stdin.open() as lines:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "gkdim.cli", "series", "--batch",
+                 "--pq", "4,6", "--z-range=-8,12"],
+                stdin=lines, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=_cli_env(buffered),
+            )
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            code = proc.wait(timeout=60)
+        assert json.loads(first)["series"][0] == {"z": -8, "gk_dimension": 24}
+        assert (code, err) == (141, b"")
+
+    def test_reader_gone_before_one_answer(self, buffered):
+        # A buffered answer meets the closed pipe only when stdout is flushed.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gkdim.cli", "series",
+                 "--weight", SERIES_WEIGHT, "--pq", "4,6", "--z-range=-8,12"],
+                stdout=write_end, stderr=subprocess.PIPE,
+                env=_cli_env(buffered), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")

@@ -365,6 +365,18 @@ class TestGkPQ:
             calls.clear()
             gk_pq(w, ctx)
             assert calls == [w]
+        # Adding z to the first p entries keeps dominance, so neither the
+        # points of a series nor the shifted weight of a unitary point is
+        # checked again.
+        w = parse_weight("6,5,4,3,11,10,9,8,7,6")
+        for answer in (
+            lambda: gkdim_series(w, CTX54, -8, 12),
+            lambda: unitary_gkdim(w, CTX54, 1),
+            lambda: unitary_gkdim(w, CTX54, F(1, 2)),
+        ):
+            calls.clear()
+            answer()
+            assert calls == [w]
 
     def test_json_round_trip(self):
         obj = json.loads(json.dumps(gk_pq(EX54, CTX54).to_json()))
@@ -523,9 +535,9 @@ class TestSeries:
 
     def test_range_above_bound_rejected_before_any_point(self, monkeypatch):
         def no_point(*args):
-            raise AssertionError("gk_pq called for an oversized range")
+            raise AssertionError("a point computed for an oversized range")
 
-        monkeypatch.setattr(gkdim.hermitian, "gk_pq", no_point)
+        monkeypatch.setattr(gkdim.hermitian, "_dominant_gk_pq", no_point)
         with pytest.raises(ZRangeBoundError) as info:
             gkdim_series(mu_tilde(2, 3), PQContext(2, 3), 0, 10**9)
         assert info.value.code == "z-range-bound-exceeded"
@@ -593,7 +605,8 @@ class TestZetaLineCrossChecks:
 
 
 def _fake_gk_pq(values):
-    """A stand-in for gk_pq whose successive reports carry `values`."""
+    """A stand-in for the points' gk_pq body, `_dominant_gk_pq`, whose
+    successive reports carry `values`."""
     values = iter(values)
     return lambda w, ctx: SimpleNamespace(gk_dimension=next(values))
 
@@ -621,7 +634,9 @@ class TestCrossCheckErrors:
         }
 
     def test_unitary_closed_form_against_direct(self, monkeypatch):
-        monkeypatch.setattr(gkdim.hermitian, "gk_pq", _fake_gk_pq([5]))
+        monkeypatch.setattr(
+            gkdim.hermitian, "_dominant_gk_pq", _fake_gk_pq([5])
+        )
         with pytest.raises(
             RuntimeError,
             match=r"unitary_gkdim of Weight\(2, 1, 4, 3, 2\) for \(p,q\)=\(2,3\) "
@@ -633,7 +648,9 @@ class TestCrossCheckErrors:
         assert info.value.details["direct"] == 5
 
     def test_series_not_decreasing(self, monkeypatch):
-        monkeypatch.setattr(gkdim.hermitian, "gk_pq", _fake_gk_pq([3, 5, 5]))
+        monkeypatch.setattr(
+            gkdim.hermitian, "_dominant_gk_pq", _fake_gk_pq([3, 5, 5])
+        )
         with pytest.raises(
             RuntimeError,
             match=r"gkdim_series of Weight\(2, 1, 4, 3, 2\) for \(p,q\)=\(2,3\): "
@@ -646,7 +663,9 @@ class TestCrossCheckErrors:
         assert info.value.details["next_gk_dimension"] == 5
 
     def test_series_nonzero_beyond_threshold(self, monkeypatch):
-        monkeypatch.setattr(gkdim.hermitian, "gk_pq", _fake_gk_pq([1] * 4))
+        monkeypatch.setattr(
+            gkdim.hermitian, "_dominant_gk_pq", _fake_gk_pq([1] * 4)
+        )
         with pytest.raises(
             RuntimeError,
             match=r"gkdim_series of Weight\(2, 1, 4, 3, 2\) for \(p,q\)=\(2,3\): "
