@@ -13,9 +13,10 @@ Every option is parsed once, before stdin is read, so a bad --z is one parse
 error however many --batch lines follow.  Exit codes: 0 success, 1 parse
 error, 2 domain error, 3 violated internal invariant (two computations that
 must agree did not); 2 and 3 print a JSON error object on stdout.  With
---batch the status is the worst line's.  If the reader closes stdout early,
-as `| head` does, output stops silently with status 141 (128 + SIGPIPE, the
-status a shell reports for a program that a closed pipe stops).
+--batch the status is the worst line's, and with --output pretty a blank
+line ends each answer.  If the reader closes stdout early, as `| head`
+does, output stops silently with status 141 (128 + SIGPIPE, the status a
+shell reports for a program that a closed pipe stops).
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--batch", action="store_true",
             help="read one weight per line from stdin; with --output json, "
-            "emit one JSON object per line",
+            "emit one JSON object per line; with --output pretty, end each "
+            "answer with a blank line",
         )
         if pq:
             p.add_argument("--pq", required=True, help="p,q (positive integers)")
@@ -245,6 +247,9 @@ def _run(args, answer) -> int:
             worst = max(worst, 3 if isinstance(exc, InvariantError) else 2)
         else:
             _emit(obj, pretty, args.output)
+        if args.output == "pretty":
+            # Answers can span lines: a blank line ends each one.
+            print()
     return worst
 
 
@@ -274,7 +279,11 @@ def _verify_oracle(args) -> int:
 
 def _command(argv: list[str]) -> int:
     try:
-        args = _build_parser().parse_args(_attach_signed_values(argv))
+        try:
+            args = _build_parser().parse_args(_attach_signed_values(argv))
+        except SystemExit as exc:
+            # argparse exits only after printing --help, with status 0.
+            return exc.code
         if args.command == "verify-oracle":
             return _verify_oracle(args)
         return _run(args, _setup(args))

@@ -8,15 +8,14 @@ insertion of each class subsequence yields one tableau per class, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .tableaux import Tableau, insertion_tableau
 from .weights import Weight, congruence_key
 
 
-@dataclass(frozen=True)
-class CongruenceClass:
+class CongruenceClass(NamedTuple):
     """Positions (1-based, increasing) whose entries differ by integers,
     with the entry subsequence in original order."""
 
@@ -49,8 +48,7 @@ def a_value(w: Weight) -> int:
     return gk_dimension(w).a_value
 
 
-@dataclass(frozen=True)
-class GKReport:
+class GKReport(NamedTuple):
     n: int
     nu0: int
     a_value: int

@@ -14,9 +14,8 @@ closure is k(n-k), and the orbit index is m, or min(p,q) when non-integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DomainError,
@@ -58,17 +57,16 @@ def _require_integral_dominant(w: Weight, ctx: PQContext) -> None:
         )
 
 
-@dataclass(frozen=True)
-class BallSignature:
+class BallSignature(NamedTuple("BallSignature", [("runs", tuple[int, ...])])):
     """Alternating white/black run lengths (a1, b1, ..., ar, br).
 
     Interior runs are positive; only the leading white run and trailing
     black run may vanish.
     """
 
-    runs: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, runs: Iterable[int]):
+    def __new__(cls, runs: Iterable[int]):
         rs = tuple(int(x) for x in runs)
         if len(rs) < 2 or len(rs) % 2:
             raise ValueError("signature needs even length 2r with r >= 1")
@@ -76,7 +74,7 @@ class BallSignature:
             raise ValueError("run lengths must be nonnegative")
         if any(x == 0 for x in rs[1:-1]):
             raise ValueError("interior run lengths must be positive")
-        object.__setattr__(self, "runs", rs)
+        return tuple.__new__(cls, (rs,))
 
     @property
     def white_runs(self) -> tuple[int, ...]:
@@ -192,17 +190,18 @@ def second_column_by_deletion(w: Weight, ctx: PQContext) -> list[Fraction]:
     return column
 
 
-@dataclass(frozen=True)
-class AlgebraWord:
+class AlgebraWord(
+    NamedTuple("AlgebraWord", [("factors", tuple[tuple[str, int], ...])])
+):
     """A word in the letters x, y with nonnegative exponents."""
 
-    factors: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __init__(self, factors: Iterable[tuple[str, int]]):
+    def __new__(cls, factors: Iterable[tuple[str, int]]):
         fs = tuple((str(l), int(e)) for l, e in factors)
         if any(l not in ("x", "y") or e < 0 for l, e in fs):
             raise ValueError("factors must be ('x'|'y', exponent >= 0)")
-        object.__setattr__(self, "factors", fs)
+        return tuple.__new__(cls, (fs,))
 
     @classmethod
     def from_signature(cls, xi: BallSignature) -> "AlgebraWord":
@@ -211,8 +210,7 @@ class AlgebraWord:
         return cls((letters[k % 2], run) for k, run in enumerate(xi.runs))
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """The canonical form v^m y^s x^t in the algebra with relation xy = v."""
 
     v_exp: int
@@ -273,8 +271,7 @@ def ball_transform_equivalent(xi1: BallSignature, xi2: BallSignature) -> bool:
     return goal in seen
 
 
-@dataclass(frozen=True)
-class HermitianReport:
+class HermitianReport(NamedTuple):
     p: int
     q: int
     integral: bool
@@ -347,8 +344,7 @@ def associated_variety(w: Weight, ctx: PQContext) -> tuple[int, int]:
     return report.orbit_index, report.orbit_dimension
 
 
-@dataclass(frozen=True)
-class UnitaryInterval:
+class UnitaryInterval(NamedTuple):
     """Unitarity region on the line z -> weight + z*(1,..,1,0,..,0):
     all real z up to max(p', q') plus the integers up to p'+q'-1."""
 

@@ -11,9 +11,8 @@ No floating point is used anywhere: entries are ``fractions.Fraction``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import LengthMismatchError, ParseError
 
@@ -141,16 +140,15 @@ class Weight:
         return [str(e) for e in self.entries]
 
 
-@dataclass(frozen=True)
-class PQContext:
+class PQContext(NamedTuple("PQContext", [("p", int), ("q", int)])):
     """The signature (p, q) of su(p,q); pairs with weights of length p+q."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
+    def __new__(cls, p: int, q: int):
+        if p < 1 or q < 1:
             raise ValueError("p and q must be positive")
+        return tuple.__new__(cls, (p, q))
 
     @property
     def n(self) -> int:

@@ -6,7 +6,29 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from gkdim import BallSignature, PQContext, Weight
+
+
+def check_value_type(cls, args: tuple, kwargs: dict, text: str) -> None:
+    """The contract every value type keeps: positional and keyword
+    construction give equal values with equal hashes, the repr is `text`,
+    and no attribute can be assigned, neither a field nor a new name."""
+    value = cls(*args)
+    assert value == cls(**kwargs)
+    assert hash(value) == hash(cls(**kwargs))
+    assert repr(value) == text
+    for name in (next(iter(kwargs)), "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+
+
+def check_value_error(make, message: str) -> None:
+    """make() raises a ValueError whose text is exactly `message`."""
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def signature_from_balls(balls: str) -> BallSignature:

@@ -6,10 +6,13 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gkdim.cli
 from gkdim import Z_RANGE_BOUND
@@ -492,8 +495,10 @@ BATCH_GOLDEN = [
         "a-value = 0   GK dimension = 3\n"
         "class at positions [1, 2, 3]:\n"
         "  1 2 3\n"
+        "\n"
         '{"error": {"code": "parse-error", '
         '"message": "not a rational token: \'x\'"}}\n'
+        "\n"
         "n = 4   nu0 = 6   integral = False\n"
         "a-value = 2   GK dimension = 4\n"
         "class at positions [1, 3]:\n"
@@ -501,7 +506,8 @@ BATCH_GOLDEN = [
         "  3\n"
         "class at positions [2, 4]:\n"
         "  3/2\n"
-        "  7/2\n",
+        "  7/2\n"
+        "\n",
     ),
     (
         ("hermitian", "--pq", "4,6"),
@@ -521,11 +527,14 @@ BATCH_GOLDEN = [
         "orbit index = 4   orbit dimension = 24\n"
         "second column (top to bottom): 2, 4, 7, 8\n"
         "ball signature = (3, 2, 1, 1, 1, 1, 1, 0)\n"
+        "\n"
         '{"error": {"code": "parse-error", '
         '"message": "not a rational token: \'a\'"}}\n'
+        "\n"
         '{"error": {"code": "length-mismatch", '
         '"message": "weight has 3 entries but p+q=10", '
-        '"details": {"weight_length": 3, "p": 4, "q": 6}}}\n',
+        '"details": {"weight_length": 3, "p": 4, "q": 6}}}\n'
+        "\n",
     ),
     (
         ("series", "--pq", "2,3", "--z-range=0,5"),
@@ -546,11 +555,14 @@ BATCH_GOLDEN = [
         "z = 3: GK dimension = 4\n"
         "z = 4: GK dimension = 0\n"
         "z = 5: GK dimension = 0\n"
+        "\n"
         '{"error": {"code": "parse-error", '
         '"message": "not a rational token: \'\'"}}\n'
+        "\n"
         '{"error": {"code": "not-pq-dominant", '
         '"message": "entries 1 and 2 violate (p,q)-dominance", '
-        '"details": {"i": 1, "j": 2, "p": 2, "q": 3}}}\n',
+        '"details": {"i": 1, "j": 2, "p": 2, "q": 3}}}\n'
+        "\n",
     ),
     (
         ("unitary", "--pq", "4,4", "--z=1/2"),
@@ -566,11 +578,14 @@ BATCH_GOLDEN = [
         "p' = 4   q' = 4\n"
         "unitary for real z <= 4 and integer z <= 7\n"
         "GK dimension at z = 1/2: 16\n"
+        "\n"
         '{"error": {"code": "parse-error", '
         '"message": "not a rational token: \'x\'"}}\n'
+        "\n"
         '{"error": {"code": "domain-error", '
         '"message": "first and last entries must coincide", '
-        '"details": {"first": "3", "last": "2"}}}\n',
+        '"details": {"first": "3", "last": "2"}}}\n'
+        "\n",
     ),
 ]
 
@@ -680,3 +695,116 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+# Fuzz strategies. Weights have at most 12 entries and every --rank that
+# passes the rank gate is at most 5, so one example takes milliseconds.
+_SUBCOMMANDS = ["gkdim", "hermitian", "series", "unitary", "verify-oracle"]
+_OPTIONS = ["--weight", "--batch", "--pq", "--z-range", "--z", "--rank",
+            "--output", "-h", "--help"]
+_numbers = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(-3, 6)),
+    st.builds("{}.{}".format, st.integers(-9, 9), st.integers(0, 99)),
+    st.sampled_from(["", " ", "+1", "-0", "1e3", "1_0", "\u0661", "\xb2",
+                     "\xbd", "x"]),
+)
+_weights = st.lists(_numbers, max_size=12).map(",".join)
+_values = st.one_of(
+    _numbers, _weights, st.text(max_size=6),
+    st.sampled_from(["json", "pretty", "4,6", "2,3", "1,1", "0,5", "-3,3",
+                     "5,-5"]),
+)
+_lines = st.lists(st.one_of(_weights, st.text(max_size=12)), max_size=4)
+
+
+def _pq_weight(blacks, whites, shift):
+    """--pq and --weight values for decreasing halves; a non-zero shift of
+    the white half makes the weight non-integral."""
+    entries = sorted(blacks, reverse=True) + [
+        e + shift for e in sorted(whites, reverse=True)
+    ]
+    return f"{len(blacks)},{len(whites)}", ",".join(map(str, entries))
+
+
+_halves = st.lists(st.integers(-9, 9), min_size=1, max_size=6, unique=True)
+_pq_weights = st.one_of(
+    st.builds(_pq_weight, _halves, _halves,
+              st.sampled_from([0, 0, F(1, 2), F(-1, 3)])),
+    st.sampled_from([("4,4", "3,2,1,0,6,5,4,3"), ("2,3", "2,1,4,3,2"),
+                     ("4,6", "6,5,3,2,9,8,7,4,2,1")]),
+    st.tuples(_values, _weights),
+)
+# The options each subcommand takes besides --weight, --batch and --pq.
+_EXTRA_OPTIONS = {
+    "gkdim": {"--output"},
+    "hermitian": {"--output"},
+    "series": {"--output", "--z-range"},
+    "unitary": {"--output", "--z"},
+    "verify-oracle": {"--output", "--rank"},
+}
+_extras = st.fixed_dictionaries({
+    "--z-range": st.one_of(
+        st.lists(st.integers(-12, 12), min_size=2, max_size=2).map(
+            lambda ends: "{},{}".format(*sorted(ends))),
+        _values),
+}, optional={
+    "--output": st.one_of(st.sampled_from(["json", "pretty"]), _values),
+    "--z": st.one_of(_numbers, _values),
+    "--rank": st.one_of(st.integers(-1, 5).map(str), _values),
+})
+
+
+def _invocation(cmd, pq_weight, batch, extras, lines):
+    """(argv, stdin) of a command line that has the options `cmd` takes."""
+    pq, weight = pq_weight
+    argv = [cmd]
+    if cmd in ("hermitian", "series", "unitary"):
+        argv += ["--pq", pq]
+    if cmd != "verify-oracle":
+        argv += ["--batch"] if batch else ["--weight", weight]
+    for option, value in extras.items():
+        if option in _EXTRA_OPTIONS[cmd]:
+            argv += [option, value]
+    return argv, "\n".join([weight, *lines])
+
+
+_well_formed = st.builds(_invocation, st.sampled_from(_SUBCOMMANDS),
+                         _pq_weights, st.booleans(), _extras, _lines)
+# Two thirds well-formed command lines, one third any tokens at all.
+_invocations = st.one_of(
+    st.tuples(
+        st.lists(st.one_of(st.sampled_from(_SUBCOMMANDS + _OPTIONS), _values),
+                 max_size=8),
+        _lines.map("\n".join),
+    ),
+    _well_formed,
+    _well_formed,
+)
+
+
+class TestFuzz:
+    """Whatever the arguments and stdin, main returns a documented status
+    and lets no exception escape."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_invocations)
+    def test_main_returns_a_status(self, invocation):
+        argv, stdin = invocation
+        out, err = io.StringIO(), io.StringIO()
+        saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        finally:
+            sys.stdin = saved
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["series", "-h"]])
+    def test_help_returns_zero(self, capsys, argv):
+        # argparse prints the help and raises SystemExit, which main turns
+        # into its status.
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: gkdim")

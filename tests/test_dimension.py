@@ -4,11 +4,14 @@ import json
 from fractions import Fraction as F
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkdim import (
     CongruenceClass,
+    GKReport,
+    Tableau,
     Weight,
     a_value,
     a_value_of_permutation,
@@ -18,6 +21,8 @@ from gkdim import (
     parse_weight,
     tableau_collection,
 )
+
+from helpers import check_value_type
 
 INTRO = "3,3.5,2,1.5,-1,5.5,-1,0,1.1"
 
@@ -98,6 +103,28 @@ class TestCongruenceDecomposition:
             for c2 in classes:
                 if c1 is not c2:
                     assert (c1.entries[0] - c2.entries[0]).denominator != 1
+
+
+_CLASS = CongruenceClass((1, 3), (F(3), F(2)))
+_REPORT_FIELDS = {
+    "n": 3, "nu0": 3, "a_value": 1, "gk_dimension": 2, "integral": False,
+    "classes": (_CLASS,), "tableaux": (Tableau([[F(2)], [F(3)]]),),
+}
+
+
+@pytest.mark.parametrize("cls,args,kwargs,text", [
+    (CongruenceClass, ((1, 3), (F(3), F(2))),
+     {"indices": (1, 3), "entries": (F(3), F(2))},
+     "CongruenceClass(indices=(1, 3), entries=(Fraction(3, 1), "
+     "Fraction(2, 1)))"),
+    (GKReport, tuple(_REPORT_FIELDS.values()), _REPORT_FIELDS,
+     "GKReport(n=3, nu0=3, a_value=1, gk_dimension=2, integral=False, "
+     "classes=(CongruenceClass(indices=(1, 3), entries=(Fraction(3, 1), "
+     "Fraction(2, 1))),), tableaux=(Tableau([[Fraction(2, 1)], "
+     "[Fraction(3, 1)]]),))"),
+], ids=["CongruenceClass", "GKReport"])
+def test_value_type_contract(cls, args, kwargs, text):
+    check_value_type(cls, args, kwargs, text)
 
 
 class TestTableauCollection:

@@ -19,11 +19,14 @@ from gkdim import (
     AlgebraWord,
     BallSignature,
     DomainError,
+    HermitianReport,
     InvariantError,
+    NormalForm,
     NotIntegralError,
     NotPQDominantError,
     OutsideUnitaryIntervalError,
     PQContext,
+    UnitaryInterval,
     Weight,
     Z_RANGE_BOUND,
     ZRangeBoundError,
@@ -48,6 +51,8 @@ from gkdim.weights import add_z_zeta
 
 from helpers import (
     all_patterns,
+    check_value_error,
+    check_value_type,
     random_dominant_weight,
     random_tilde_weight,
     reference_xi_signature,
@@ -71,6 +76,53 @@ def ball_line_of(w: Weight, ctx: PQContext) -> str:
     tagged += [(e, 1, "w") for e in w.entries[ctx.p :]]
     tagged.sort(key=lambda t: (-t[0], -t[1]))
     return "".join(c for _, _, c in tagged)
+
+
+_HERMITIAN_FIELDS = {
+    "p": 2, "q": 3, "integral": True, "m": 2,
+    "second_column": (F(2), F(3)), "xi": BallSignature((0, 1, 1, 1, 2, 0)),
+    "gk_dimension": 6, "orbit_index": 2, "orbit_dimension": 6,
+}
+
+
+@pytest.mark.parametrize("cls,args,kwargs,text", [
+    (BallSignature, ((0, 1),), {"runs": (0, 1)}, "BallSignature(0, 1)"),
+    (BallSignature, ([3, 2, 1, 0],), {"runs": [3, 2, 1, 0]},
+     "BallSignature(3, 2, 1, 0)"),
+    (AlgebraWord, ([("x", 3), ("y", 2)],), {"factors": [("x", 3), ("y", 2)]},
+     "AlgebraWord(factors=(('x', 3), ('y', 2)))"),
+    (NormalForm, (4, 0, 2), {"v_exp": 4, "y_exp": 0, "x_exp": 2},
+     "NormalForm(v_exp=4, y_exp=0, x_exp=2)"),
+    (HermitianReport, tuple(_HERMITIAN_FIELDS.values()), _HERMITIAN_FIELDS,
+     "HermitianReport(p=2, q=3, integral=True, m=2, second_column="
+     "(Fraction(2, 1), Fraction(3, 1)), xi=BallSignature(0, 1, 1, 1, 2, 0), "
+     "gk_dimension=6, orbit_index=2, orbit_dimension=6)"),
+    (HermitianReport, (2, 3, False, 2, None, None, 6, 2, 6),
+     {"p": 2, "q": 3, "integral": False, "m": 2, "second_column": None,
+      "xi": None, "gk_dimension": 6, "orbit_index": 2, "orbit_dimension": 6},
+     "HermitianReport(p=2, q=3, integral=False, m=2, second_column=None, "
+     "xi=None, gk_dimension=6, orbit_index=2, orbit_dimension=6)"),
+    (UnitaryInterval, (2, 3), {"p_prime": 2, "q_prime": 3},
+     "UnitaryInterval(p_prime=2, q_prime=3)"),
+], ids=["BallSignature", "BallSignature-list", "AlgebraWord", "NormalForm",
+        "HermitianReport", "HermitianReport-non-integral", "UnitaryInterval"])
+def test_value_type_contract(cls, args, kwargs, text):
+    check_value_type(cls, args, kwargs, text)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: BallSignature([1]), "signature needs even length 2r with r >= 1"),
+    (lambda: BallSignature([1, 0, 0, 1]),
+     "interior run lengths must be positive"),
+    (lambda: BallSignature([-1, 2]), "run lengths must be nonnegative"),
+    (lambda: AlgebraWord([("z", 1)]),
+     "factors must be ('x'|'y', exponent >= 0)"),
+    (lambda: AlgebraWord([("x", -1)]),
+     "factors must be ('x'|'y', exponent >= 0)"),
+], ids=["odd-length", "interior-zero", "negative-run", "bad-letter",
+        "negative-exponent"])
+def test_value_type_validation(make, message):
+    check_value_error(make, message)
 
 
 class TestBallSignature:

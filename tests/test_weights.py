@@ -18,7 +18,7 @@ from gkdim import (
 )
 from gkdim.weights import congruence_key, pq_dominance_violation
 
-from helpers import random_dominant_weight
+from helpers import check_value_error, check_value_type, random_dominant_weight
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -245,6 +245,24 @@ class TestPQDominance:
         w = Weight([6, 5, 3, 2, 9, 8, 7, 4, 2, 1])
         ctx = PQContext(4, 6)
         assert is_pq_dominant(add_z_zeta(w, ctx, z), ctx)
+
+
+class TestPQContextValue:
+    @pytest.mark.parametrize("args,kwargs,text", [
+        ((4, 6), {"p": 4, "q": 6}, "PQContext(p=4, q=6)"),
+        ((1, 1), {"p": 1, "q": 1}, "PQContext(p=1, q=1)"),
+    ])
+    def test_contract(self, args, kwargs, text):
+        check_value_type(PQContext, args, kwargs, text)
+
+    @pytest.mark.parametrize("args", [(0, 1), (1, 0), (-2, 3)])
+    def test_validation(self, args):
+        check_value_error(lambda: PQContext(*args), "p and q must be positive")
+
+    def test_is_a_tuple_of_its_fields(self):
+        # As for every value type (README, "Layout"): a NamedTuple.
+        ctx = PQContext(4, 6)
+        assert (len(ctx), list(ctx), ctx) == (2, [4, 6], (4, 6))
 
 
 class TestAddZZeta:
