@@ -22,6 +22,7 @@ shell reports for a program that a closed pipe stops).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -41,9 +42,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-# Options whose value may start with "-" (a negative coordinate or z), which
-# argparse would otherwise read as an unknown option.
-_SIGNED_OPTIONS = ("--weight", "--z", "--z-range")
+# Options whose value may start with "-" (a negative coordinate or z, or a
+# bad p,q that `_parse_pq` should name), which argparse would otherwise read
+# as an unknown option.
+_SIGNED_OPTIONS = ("--weight", "--pq", "--z", "--z-range")
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
@@ -76,7 +78,10 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process: parse_args keeps no state
+    between calls."""
     parser = _Parser(
         prog="gkdim",
         description="Exact GK dimensions of simple highest weight sl(n)-modules "

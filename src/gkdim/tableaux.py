@@ -1,8 +1,10 @@
 """Young tableaux, Schensted row insertion and column statistics.
 
-Entries may be any exactly comparable values (``Fraction`` or ``int``).
-Tableaux are immutable; insertion returns a new tableau together with the
-1-indexed (row, column) of the added box.
+Entries are ``Fraction``s or ``int``s.  Tableaux are immutable; insertion
+returns a new tableau together with the 1-indexed (row, column) of the added
+box.  Each tableau is validated once, by its constructor.  When all its
+entries share one denominator, as the entries of one congruence class do,
+the checks compare numerators, which are ints; otherwise they compare values.
 """
 
 from __future__ import annotations
@@ -159,7 +161,12 @@ def _row_insert(rows: list[list[Entry]], x: Entry) -> tuple[int, int]:
     return len(rows), 1
 
 
-def _validate(rows: tuple[tuple[Entry, ...], ...]) -> None:
+def _validate(rows: Sequence[Sequence[Entry]]) -> None:
+    # A Fraction is in lowest terms with a positive denominator, so entries
+    # sharing one denominator are ordered by their numerators, which compare
+    # as ints instead of through Fraction's Python-level comparison.
+    if len({e.denominator for r in rows for e in r}) == 1:
+        rows = [[e.numerator for e in r] for r in rows]
     for i, r in enumerate(rows):
         if not r:
             raise ValueError("empty tableau row")

@@ -18,12 +18,18 @@ from .errors import LengthMismatchError, ParseError
 
 Rational = Fraction
 
+# Groups: sign, integer part, fraction digits, numerator, denominator.
 # ASCII: a bare \d also matches any Unicode digit, such as "١".
-_TOKEN = re.compile(r"^[+-]?\d+(\.\d+)?$|^[+-]?\d+/\d+$", re.ASCII)
+_TOKEN = re.compile(r"([+-]?)(?:(\d+)(?:\.(\d+))?|(\d+)/(\d+))", re.ASCII)
 
 
 def parse_rational(token: str) -> Fraction:
     """Parse an integer, a fraction ``a/b`` or an exact decimal ``d.ddd``.
+
+    The token is matched once and the ``Fraction`` built from its parts,
+    converted as ``Fraction(token)`` converts them: a decimal is
+    ``int(whole)·10^k + int(frac)`` over ``10^k``, so each part, not the
+    whole token, is held to Python's digit limit.
 
     >>> parse_rational("3.5")
     Fraction(7, 2)
@@ -31,18 +37,27 @@ def parse_rational(token: str) -> Fraction:
     Fraction(-11, 10)
     """
     token = token.strip()
-    if not _TOKEN.match(token):
+    m = _TOKEN.fullmatch(token)
+    if m is None:
         raise ParseError(f"not a rational token: {token!r}")
+    sign, whole, frac, num, den = m.groups()
     try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator: {token!r}") from None
+        if whole is None:
+            n, d = int(num), int(den)
+        elif frac is None:
+            n, d = int(whole), 1
+        else:
+            d = 10 ** len(frac)
+            n = int(whole) * d + int(frac)
     except ValueError:
         # Python refuses to convert integer strings past its digit limit.
         shown = token if len(token) <= 40 else f"{token[:20]}...{token[-8:]}"
         raise ParseError(
             f"number too long ({len(token)} characters): {shown!r}"
         ) from None
+    if d == 0:
+        raise ParseError(f"zero denominator: {token!r}")
+    return Fraction(-n if sign == "-" else n, d)
 
 
 def congruence_key(e: Fraction | int) -> tuple[int, int]:

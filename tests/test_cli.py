@@ -128,6 +128,16 @@ class TestHermitianCommand:
         code, _, _ = run(capsys, "hermitian", "--weight", "1,2", "--pq", "x,1")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv", [("--pq", "-1,1"), ("--pq=-1,1",)], ids=["separate", "joined"]
+    )
+    def test_negative_pq_gets_the_cli_message(self, capsys, argv):
+        # A value starting with "-" reaches the p,q parser in both spellings.
+        got = run(capsys, "hermitian", "--weight", "1,0", *argv)
+        assert got == (
+            1, "", "error: expected p,q with positive integers: '-1,1'\n"
+        )
+
     @pytest.mark.parametrize("pq", ["٢,٣", "2,3_0", "²,3"])
     def test_non_ascii_digit_pq_is_parse_error(self, capsys, pq):
         assert_parse_error(
@@ -632,6 +642,21 @@ class TestRunner:
         values = [json.loads(l)["gk_dimension"] for l in out.splitlines()]
         assert values == [12] * 3
         assert calls == ["5"]
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        # One parser serves --help, a parse error and every golden batch.
+        gkdim.cli._build_parser.cache_clear()
+        code, out, err = run(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: gkdim")
+        assert_parse_error(capsys, "hermitian", "--weight", "1,0", "--pq", "x")
+        for argv, stdin, code, json_out, pretty_out in BATCH_GOLDEN:
+            for output, expected in (("json", json_out), ("pretty", pretty_out)):
+                monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+                got = run(capsys, *argv, "--batch", "--output", output)
+                assert got == (code, expected, "")
+        info = gkdim.cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1 + 2 * len(BATCH_GOLDEN))
 
     def test_verify_oracle_pretty_golden(self, capsys):
         got = run(capsys, "verify-oracle", "--rank", "3", "--output", "pretty")

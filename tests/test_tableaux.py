@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkdim import Shape, Tableau, insertion_tableau, rs_pair
@@ -22,6 +22,56 @@ repeat_heavy_lists = st.lists(
         st.fractions(min_value=-3, max_value=3, max_denominator=2),
     ),
     max_size=20,
+)
+
+
+def reference_validate(rows):
+    """The message `Tableau(rows)` raises, or None, found by comparing the
+    entries themselves, as the constructor did before it compared
+    numerators."""
+    for i, r in enumerate(rows):
+        if not r:
+            return "empty tableau row"
+        if any(r[j] > r[j + 1] for j in range(len(r) - 1)):
+            return f"row {i + 1} is not weakly increasing"
+    for i in range(len(rows) - 1):
+        if len(rows[i]) < len(rows[i + 1]):
+            return "row lengths must weakly decrease"
+        if any(rows[i][j] >= rows[i + 1][j] for j in range(len(rows[i + 1]))):
+            return f"column not strictly increasing at row {i + 2}"
+    return None
+
+
+# Rows of one shared denominator (ints, halves or thirds shifted by ints)
+# or of mixed ones, as insertion builds them or with one entry overwritten.
+_offsets = st.sampled_from([0, F(1, 2), F(-1, 3), F(5, 3)])
+_small_entries = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda k, c: k + c, st.integers(-3, 3), _offsets),
+)
+_one_class_seqs = st.builds(
+    lambda ks, c: [k + c for k in ks],
+    st.lists(st.integers(-3, 3), max_size=10), _offsets,
+)
+
+
+def _overwrite(args):
+    rows, i, j, x = args
+    rows = [list(r) for r in rows]
+    if rows:
+        row = rows[i % len(rows)]
+        row[j % len(row)] = x
+    return rows
+
+
+candidate_rows = st.one_of(
+    st.lists(st.lists(_small_entries, max_size=4), max_size=4),
+    st.one_of(_one_class_seqs, st.lists(_small_entries, max_size=10))
+    .map(lambda seq: insertion_tableau(seq).rows),
+    st.tuples(
+        _one_class_seqs.map(lambda seq: insertion_tableau(seq).rows),
+        st.integers(0, 9), st.integers(0, 9), _small_entries,
+    ).map(_overwrite),
 )
 
 
@@ -112,6 +162,47 @@ class TestInsert:
             Tableau([[1], [1]])
         with pytest.raises(ValueError):
             Tableau([[1], [2, 3]])
+
+
+class TestValidation:
+    """The constructor compares numerators when every entry shares one
+    denominator, and values otherwise."""
+
+    def test_mixed_denominators_compare_values(self):
+        # Equal numerators, but 1/2 > 1/3 and 1 > 1/2.
+        with pytest.raises(ValueError, match="row 1 is not weakly"):
+            Tableau([[F(1, 2), F(1, 3)]])
+        with pytest.raises(ValueError, match="row 1 is not weakly"):
+            Tableau([[1, F(1, 2)]])
+        # Equal numerators, but 1/3 < 1/2 strictly.
+        assert Tableau([[F(1, 3)], [F(1, 2)]]).rows == ((F(1, 3),), (F(1, 2),))
+
+    @pytest.mark.parametrize(
+        "rows", [[[F(1, 2)], [F(1, 2)]], [[F(3, 2), F(5, 2)], [F(3, 2)]],
+                 [[F(-1, 3), F(2, 3)], [F(-4, 3), F(5, 3)]]],
+    )
+    def test_one_denominator_column_not_strict(self, rows):
+        with pytest.raises(ValueError, match="column not strictly"):
+            Tableau(rows)
+
+    def test_int_rows_still_checked(self):
+        _, q = rs_pair([3, 5, 2, 2, 1])
+        assert Tableau(q.rows) == q
+        with pytest.raises(ValueError, match="row 1 is not weakly"):
+            Tableau([[2, 1], [3, 4], [5]])
+        with pytest.raises(ValueError, match="column not strictly"):
+            Tableau([[1, 2], [3, 4], [2]])
+
+    @settings(max_examples=300)
+    @given(candidate_rows)
+    def test_against_value_comparison(self, rows):
+        expected = reference_validate(rows)
+        if expected is None:
+            assert Tableau(rows).rows == tuple(tuple(r) for r in rows)
+        else:
+            with pytest.raises(ValueError) as info:
+                Tableau(rows)
+            assert str(info.value) == expected
 
 
 class TestRSPair:

@@ -1,9 +1,11 @@
 """Weight parsing, shift equivalence and the dominance predicates."""
 
+import re
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkdim import (
@@ -85,6 +87,56 @@ def reference_pq_dominance_violation(w: Weight, ctx: PQContext):
     return None
 
 
+_PARENT_TOKEN = re.compile(r"^[+-]?\d+(\.\d+)?$|^[+-]?\d+/\d+$", re.ASCII)
+
+
+def reference_parse_rational(token: str) -> F:
+    """`parse_rational` as it was before it converted the matched parts
+    itself: the token is matched, then handed to ``Fraction(token)``."""
+    token = token.strip()
+    if not _PARENT_TOKEN.match(token):
+        raise ParseError(f"not a rational token: {token!r}")
+    try:
+        return F(token)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator: {token!r}") from None
+    except ValueError:
+        shown = token if len(token) <= 40 else f"{token[:20]}...{token[-8:]}"
+        raise ParseError(
+            f"number too long ({len(token)} characters): {shown!r}"
+        ) from None
+
+
+# Python's limit on the digits int() converts from a string; 0 means none.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+# Digit strings with leading zeros, and (when there is a limit) strings just
+# under, at and over it, so that each part of a token can cross it.
+_digits = st.one_of(
+    st.builds(
+        lambda zeros, d: "0" * zeros + d,
+        st.integers(0, 3), st.text("0123456789", min_size=1, max_size=5),
+    ),
+    st.builds(
+        lambda zeros, k: "0" * zeros + "7" * k,
+        st.integers(0, 1),
+        st.sampled_from([DIGIT_LIMIT - 1, DIGIT_LIMIT, DIGIT_LIMIT + 1])
+        if DIGIT_LIMIT else st.just(40),
+    ),
+)
+_sign = st.sampled_from(["", "+", "-"])
+_pad = st.sampled_from(["", " ", "\t", " \n"])
+grammar_tokens = st.one_of(
+    st.builds(lambda pad, sign, a: pad + sign + a + pad, _pad, _sign, _digits),
+    st.builds(
+        lambda pad, sign, a, sep, b: pad + sign + a + sep + b + pad,
+        _pad, _sign, _digits, st.sampled_from([".", "/"]), _digits,
+    ),
+)
+# Near misses of the grammar: every one is rejected or accepted as before.
+near_tokens = st.text("0123456789+-./ eE_x\u0661\u00b2", max_size=10)
+
+
 class TestParsing:
     def test_exact_decimals(self):
         assert parse_rational("3.5") == F(7, 2)
@@ -110,6 +162,74 @@ class TestParsing:
     def test_empty_weight(self):
         with pytest.raises(ParseError):
             parse_weight("")
+
+
+class TestParseAgainstFraction:
+    """`parse_rational` builds the Fraction from the parts of one match;
+    it must agree with ``Fraction(token)`` and with the errors the parser
+    raised when it handed the token to ``Fraction``."""
+
+    @staticmethod
+    def check(token):
+        try:
+            expected = reference_parse_rational(token)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as info:
+                parse_rational(token)
+            assert str(info.value) == str(exc)
+        else:
+            got = parse_rational(token)
+            assert type(got) is F
+            assert got == expected == F(token)
+            assert (got.numerator, got.denominator) == (
+                expected.numerator, expected.denominator
+            )
+            # repr() of a value past the digit limit raises.
+            if len(token) < 100:
+                assert repr(got) == repr(expected)
+
+    @settings(max_examples=300)
+    @given(grammar_tokens)
+    def test_grammar(self, token):
+        self.check(token)
+
+    @given(near_tokens)
+    def test_near_misses(self, token):
+        self.check(token)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["-0", "+0", "-0.50", "+3/6", "007", "-007.0100", "0/5", "-4/-2",
+         "1/0", "-0/00", "1.", ".5", "1e3", "", " 3 "],
+    )
+    def test_examples(self, token):
+        self.check(token)
+
+    def test_signs_apply_last(self):
+        assert repr(parse_rational("-0.50")) == "Fraction(-1, 2)"
+        assert repr(parse_rational("+3/6")) == "Fraction(1, 2)"
+        assert repr(parse_rational("-0")) == "Fraction(0, 1)"
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no digit limit")
+    def test_decimal_parts_each_under_the_digit_limit(self):
+        whole, frac = "7" * (DIGIT_LIMIT - 1), "3" * (DIGIT_LIMIT - 1)
+        with pytest.raises(ValueError):
+            int(whole + frac)
+        token = f"-{whole}.{frac}"
+        self.check(token)
+        assert parse_rational(token).denominator == 10 ** len(frac)
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="int() has no digit limit")
+    @pytest.mark.parametrize(
+        "token",
+        [f"1.{'3' * (DIGIT_LIMIT + 1)}", f"{'7' * (DIGIT_LIMIT + 1)}.5",
+         f"{'7' * (DIGIT_LIMIT + 1)}/0", f"1/{'0' * (DIGIT_LIMIT + 1)}"],
+        ids=["fraction-digits", "integer-part", "numerator", "denominator"],
+    )
+    def test_one_part_over_the_digit_limit(self, token):
+        with pytest.raises(ParseError, match="number too long"):
+            parse_rational(token)
+        self.check(token)
 
 
 class TestCanonicalize:
