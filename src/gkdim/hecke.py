@@ -31,7 +31,7 @@ standard library.
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import permutations
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -58,6 +58,9 @@ class HeckeElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("HeckeElement is immutable")
+
+    def __reduce__(self):
+        return HeckeElement, (self.n, self.terms)
 
     @classmethod
     def t(cls, w: Permutation) -> "HeckeElement":
@@ -191,7 +194,22 @@ def _last_descent(rmul: Sequence[Sequence[int]], k: int) -> int:
     return max(i for i, ws in enumerate(rmul[k]) if ws < k)
 
 
-@lru_cache(maxsize=None)
+def _once_per_rank(build):
+    """Cache build(n) per rank.  The lock is taken outside the cache, so a
+    caller that waits on another thread's first build then reads that one."""
+    cached = lru_cache(maxsize=None)(build)
+    lock = threading.Lock()
+
+    @wraps(build)
+    def get(n: int):
+        with lock:
+            return cached(n)
+
+    get.cache_clear = cached.cache_clear
+    return get
+
+
+@_once_per_rank
 def _kl_basis(n: int) -> _KLBasis:
     # permutations() is lexicographic and sorted() is stable, so this is the
     # length order with ties broken by one-line notation.
@@ -415,23 +433,19 @@ def _top_degree(bits: int, b: int, d: int) -> int:
     return bits // b - d
 
 
-_table_lock = threading.Lock()
-
-
-@lru_cache(maxsize=None)
+@_once_per_rank
 def _a_table(n: int) -> dict[tuple[int, ...], int]:
-    with _table_lock:
-        kl = _kl_basis(n)
-        plan = _table_plan(kl)
-        # A larger largest degree means a longer packed cell, so keeping the
-        # longest bit length per column z keeps its largest degree.
-        best = [0] * len(kl.perms)
-        for _, mat in _structure_matrices(kl, plan):
-            for row in mat:
-                for z, p in row.items():
-                    bits = p.bit_length()
-                    if bits > best[z]:
-                        best[z] = bits
+    kl = _kl_basis(n)
+    plan = _table_plan(kl)
+    # A larger largest degree means a longer packed cell, so keeping the
+    # longest bit length per column z keeps its largest degree.
+    best = [0] * len(kl.perms)
+    for _, mat in _structure_matrices(kl, plan):
+        for row in mat:
+            for z, p in row.items():
+                bits = p.bit_length()
+                if bits > best[z]:
+                    best[z] = bits
     return {
         w.one_line: _top_degree(best[k], plan.b, plan.d)
         for k, w in enumerate(kl.perms)

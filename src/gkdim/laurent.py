@@ -27,6 +27,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        return LaurentPoly, (self.coeffs,)
+
     @classmethod
     def zero(cls) -> "LaurentPoly":
         return _ZERO

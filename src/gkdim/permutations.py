@@ -28,6 +28,9 @@ class Permutation:
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
+    def __reduce__(self):
+        return Permutation, (self.one_line,)
+
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))

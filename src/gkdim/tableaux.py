@@ -1,22 +1,23 @@
 """Young tableaux, Schensted row insertion and column statistics.
 
-Entries are ``Fraction``s or ``int``s.  Tableaux are immutable; insertion
-returns a new tableau together with the 1-indexed (row, column) of the added
-box.  Each tableau is validated once, by its constructor.  When all its
-entries share one denominator, as the entries of one congruence class do,
-the checks compare numerators, which are ints; otherwise they compare values.
+Entries are ``Fraction``s or ``int``s.  ``Shape`` and ``Tableau`` are
+immutable one-field ``NamedTuple``s; insertion returns a new tableau and the
+1-indexed (row, column) of the added box.  Each tableau is validated once, by
+its constructor.  When all its entries share one denominator, as the entries
+of one congruence class do, the checks compare numerators, which are ints;
+otherwise they compare values.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Entry = Fraction | int
 
 
-class Shape:
+class Shape(NamedTuple("Shape", [("column_sizes", tuple[int, ...])])):
     """A partition, viewed through its column sizes.
 
     >>> Shape.from_row_lengths([2, 2, 1]).column_sizes
@@ -25,30 +26,21 @@ class Shape:
     (2, 2, 1)
     """
 
-    __slots__ = ("column_sizes",)
+    __slots__ = ()
 
-    def __init__(self, column_sizes: Iterable[int]):
+    def __new__(cls, column_sizes: Iterable[int]):
         cs = tuple(int(c) for c in column_sizes)
         if any(c <= 0 for c in cs):
             raise ValueError("column sizes must be positive")
         if any(cs[i] < cs[i + 1] for i in range(len(cs) - 1)):
             raise ValueError("column sizes must weakly decrease")
-        object.__setattr__(self, "column_sizes", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Shape is immutable")
+        return tuple.__new__(cls, (cs,))
 
     @classmethod
     def from_row_lengths(cls, rows: Sequence[int]) -> "Shape":
-        cols = []
-        j = 0
-        while True:
-            c = sum(1 for r in rows if r > j)
-            if c == 0:
-                break
-            cols.append(c)
-            j += 1
-        return cls(cols)
+        return cls(
+            sum(1 for r in rows if r > j) for j in range(max(rows, default=0))
+        )
 
     @property
     def row_lengths(self) -> tuple[int, ...]:
@@ -65,31 +57,20 @@ class Shape:
         """Sum of c*(c-1)/2 over the column sizes c."""
         return sum(c * (c - 1) // 2 for c in self.column_sizes)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Shape):
-            return NotImplemented
-        return self.column_sizes == other.column_sizes
-
-    def __hash__(self) -> int:
-        return hash(self.column_sizes)
-
     def __repr__(self) -> str:
         return f"Shape{self.column_sizes}"
 
 
-class Tableau:
+class Tableau(NamedTuple("Tableau", [("rows", tuple[tuple[Entry, ...], ...])])):
     """A semistandard Young tableau (weakly increasing rows, strictly
     increasing columns, row lengths weakly decreasing)."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
-    def __init__(self, rows: Iterable[Sequence[Entry]] = ()):
+    def __new__(cls, rows: Iterable[Sequence[Entry]] = ()):
         rows = tuple(tuple(r) for r in rows)
         _validate(rows)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tableau is immutable")
+        return tuple.__new__(cls, (rows,))
 
     @property
     def size(self) -> int:
@@ -124,14 +105,6 @@ class Tableau:
         return all(
             r[j] < r[j + 1] for r in self.rows for j in range(len(r) - 1)
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tableau):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"Tableau({[list(r) for r in self.rows]!r})"

@@ -99,6 +99,9 @@ class Weight:
     def __setattr__(self, name, value):
         raise AttributeError("Weight is immutable")
 
+    def __reduce__(self):
+        return Weight, (self.entries,)
+
     @property
     def n(self) -> int:
         return len(self.entries)

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
@@ -433,6 +435,46 @@ def unpack(cell, b, d):
         cell = (cell - c) >> b
         e += 1
     return out
+
+
+class TestBuiltOncePerRank:
+    """A caller that arrives while another thread makes the first build of
+    a rank waits for that build and gets the same object back."""
+
+    @staticmethod
+    def builds_from_two_threads(monkeypatch, hook, get):
+        builds, results = [], []
+        entered = threading.Event()
+        original = getattr(gkdim.hecke, hook)
+
+        def slow(*args):
+            builds.append(args)
+            entered.set()
+            time.sleep(0.2)
+            return original(*args)
+
+        monkeypatch.setattr(gkdim.hecke, hook, slow)
+        threads = [threading.Thread(target=lambda: results.append(get()))
+                   for _ in range(2)]
+        threads[0].start()
+        assert entered.wait(10)
+        threads[1].start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        assert results[0] is results[1]
+        return len(builds)
+
+    def test_a_table(self, monkeypatch):
+        _a_table.cache_clear()
+        assert self.builds_from_two_threads(
+            monkeypatch, "_table_plan", lambda: _a_table(4)) == 1
+
+    def test_kl_basis(self, monkeypatch):
+        # itertools.permutations runs once per build of the KL basis.
+        _kl_basis.cache_clear()
+        assert self.builds_from_two_threads(
+            monkeypatch, "permutations", lambda: _kl_basis(4)) == 1
 
 
 class TestTableAgainstReference:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkdim import Shape, Tableau, insertion_tableau, rs_pair
+from helpers import check_value_error, check_value_type
 
 entry_lists = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=6),
@@ -278,3 +279,37 @@ class TestRendering:
     def test_json_rows(self):
         t = Tableau([[F(3, 2), F(11, 2)], [F(7, 2)]])
         assert t.to_json_rows() == [["3/2", "11/2"], ["7/2"]]
+
+
+class TestValueType:
+    @pytest.mark.parametrize("cls,args,kwargs,text", [
+        (Shape, ((3, 2),), {"column_sizes": (3, 2)}, "Shape(3, 2)"),
+        (Shape, ([1],), {"column_sizes": [1]}, "Shape(1,)"),
+        (Shape, ((),), {"column_sizes": ()}, "Shape()"),
+        (Tableau, ([[1, 2], [3]],), {"rows": [[1, 2], [3]]},
+         "Tableau([[1, 2], [3]])"),
+        (Tableau, ([[F(1, 2)]],), {"rows": ((F(1, 2),),)},
+         "Tableau([[Fraction(1, 2)]])"),
+        (Tableau, ((),), {"rows": ()}, "Tableau([])"),
+    ], ids=["Shape", "Shape-list", "Shape-empty", "Tableau",
+            "Tableau-fraction", "Tableau-empty"])
+    def test_contract(self, cls, args, kwargs, text):
+        check_value_type(cls, args, kwargs, text)
+
+    def test_empty_tableau(self):
+        t = Tableau()
+        assert t == Tableau([]) and t.rows == () and t.size == 0
+        assert t.shape() == Shape(())
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Shape((2, 0)), "column sizes must be positive"),
+        (lambda: Shape((1, 2)), "column sizes must weakly decrease"),
+        (lambda: Tableau([[1], []]), "empty tableau row"),
+        (lambda: Tableau([[1], [3, 2]]), "row 2 is not weakly increasing"),
+        (lambda: Tableau([[1], [2, 3]]), "row lengths must weakly decrease"),
+        (lambda: Tableau([[1, 2], [1]]),
+         "column not strictly increasing at row 2"),
+    ], ids=["shape-zero", "shape-increasing", "empty-row", "row-order",
+            "row-lengths", "column-order"])
+    def test_validation_messages(self, make, message):
+        check_value_error(make, message)
