@@ -15,17 +15,19 @@ bound (default 5).
 The KL basis is built once per rank, with S_n indexed by position in the
 length order: C_w = C_{w'} C_s - (constant terms at shorter y, stripped
 longest first) along the last right descent s of w, each C_w a dict
-{y: {degree: coeff}} of its nonzero T_y coefficients.  HeckeElements are
-made from it only on request.  The structure-constant table is the hot
-path.  Each R_y = [h_{x,y,z}]_{x,z} is built by right-multiplying a shorter
-R_{y'} by a generator C_s in place, row by row, from the KL basis's w*s
-table and mu values; no matrix of C_s is formed and no general matrix
-product runs.  Each matrix cell is one int, its Laurent polynomial p packed
-as p(2^B) 2^(B D), with D = l(w0) and B derived from an a-priori bound on
-the coefficients, so the largest degree is read off the bit length.  Each
-R_y is folded into the per-column maximum degree as soon as it is built and
-dropped after the last step that reads it.  Nothing here needs more than the
-standard library.
+{y: {degree: coeff}} of its nonzero T_y coefficients.  With each C_w the
+basis records that descent and the values mu(z, w), the v^-1 coefficients
+of C_w.  HeckeElements are made from it only on request.  The
+structure-constant table is the hot path, and it replays that record.  Each
+R_y = [h_{x,y,z}]_{x,z} is built along the descent recorded for y, by
+right-multiplying a shorter R_{y'} by a generator C_s in place, row by row,
+from the KL basis's w*s table and mu values; no matrix of C_s is formed and
+no general matrix product runs.  Each matrix cell is one int, its Laurent
+polynomial p packed as p(2^B) 2^(B D), with D = l(w0) and B derived from an
+a-priori bound on the coefficients, so the largest degree is read off the
+bit length.  Each R_y is folded into the per-column maximum degree as soon
+as it is built and dropped after the last step that reads it.  Nothing here
+needs more than the standard library.
 """
 
 from __future__ import annotations
@@ -88,8 +90,6 @@ class HeckeElement:
         return self + (-other)
 
     def scale(self, c: LaurentPoly | int) -> "HeckeElement":
-        if isinstance(c, int):
-            c = LaurentPoly({0: c})
         return HeckeElement(self.n, {w: p * c for w, p in self.terms.items()})
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
@@ -178,6 +178,11 @@ class _KLBasis(NamedTuple):
     index: dict[tuple[int, ...], int]  # one-line notation -> position
     rmul: tuple[tuple[int, ...], ...]  # rmul[k][i]: position of w_k s_{i+1}
     basis: tuple[_Row, ...]  # basis[k]: C_{w_k} in the T basis
+    # descent[k]: the last right descent i of w_k (w_k s_{i+1} is shorter),
+    # 0-based, along which C_{w_k} is built; -1 for the identity
+    descent: tuple[int, ...]
+    # mu[k]: the pairs (z, mu(z, w_k)), z < k, for the v^-1 terms of C_{w_k}
+    mu: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _add_shifted(acc: _Row, y: int, poly: dict[int, int], c: int, shift: int) -> None:
@@ -186,12 +191,6 @@ def _add_shifted(acc: _Row, y: int, poly: dict[int, int], c: int, shift: int) ->
     for d, coeff in poly.items():
         e = d + shift
         cell[e] = cell.get(e, 0) + c * coeff
-
-
-def _last_descent(rmul: Sequence[Sequence[int]], k: int) -> int:
-    """The last right descent i of w_k (w_k s_{i+1} is shorter), 0-based.
-    Positions follow the length order, so w s is shorter iff it comes first."""
-    return max(i for i, ws in enumerate(rmul[k]) if ws < k)
 
 
 def _once_per_rank(build):
@@ -220,8 +219,12 @@ def _kl_basis(n: int) -> _KLBasis:
         tuple(index[w.times_s(i).one_line] for i in range(1, n)) for w in perms
     )
     basis: list[_Row] = [{0: {0: 1}}]
+    descent = [-1]
+    mu: list[tuple[tuple[int, int], ...]] = [()]
     for k in range(1, len(perms)):
-        i = _last_descent(rmul, k)
+        # The last right descent i: w_k s_{i+1} is shorter, so in the length
+        # order it comes first.
+        i = max(j for j, ws in enumerate(rmul[k]) if ws < k)
         # C_{w'} C_s in the T basis, with w' = w s and C_s = T_s + v^-1.
         d: _Row = {}
         for y, p in basis[rmul[k][i]].items():
@@ -246,7 +249,11 @@ def _kl_basis(n: int) -> _KLBasis:
                 cw[y] = p
         _check_kl_element(perms, k, cw)
         basis.append(cw)
-    return _KLBasis(perms, index, rmul, tuple(basis))
+        descent.append(i)
+        # The coefficient of T_w is 1, just checked, so every v^-1 term is a
+        # mu(z, w) with z < k.
+        mu.append(tuple((z, p[-1]) for z, p in cw.items() if -1 in p))
+    return _KLBasis(perms, index, rmul, tuple(basis), tuple(descent), tuple(mu))
 
 
 def _check_kl_element(perms: Sequence[Permutation], k: int, cw: _Row) -> None:
@@ -307,9 +314,11 @@ def kl_expand(elt: HeckeElement) -> dict[Permutation, LaurentPoly]:
 # give R_{y's} = R_{y'} C_s - sum_{zs<z} mu(z,y') R_z.  Row x of R_{y'} C_s
 # comes straight from those expansions: an entry p at column j adds
 # (v + v^-1) p to column j if js < j, and otherwise p to column js and
-# mu(z,j) p to each column z with zs < z.  A matrix is stored sparsely as one
-# row per x, indexed as in the KL basis: a dict {z: cell} holding only the
-# nonzero entries.
+# mu(z,j) p to each column z with zs < z.  The table replays the KL basis's
+# record: R_y is built along the descent s that C_y was built along, and
+# the mu values are the ones the basis read off each C_w.  A matrix is
+# stored sparsely as one row per x, indexed as in the KL basis: a dict
+# {z: cell} holding only the nonzero entries.
 #
 # A cell packs the Laurent polynomial p into one int, P = p(2^B) 2^(B D), so
 # the recursion needs only integer operations: P + Q, m * P, and
@@ -325,7 +334,6 @@ def kl_expand(elt: HeckeElement) -> dict[Permutation, LaurentPoly]:
 
 
 class _TablePlan(NamedTuple):
-    mu: list[list[tuple[int, int]]]  # mu[k]: pairs (z, mu(z, w_k)), z < k
     # (k, i, shorter, minus): R_{w_k} from R_shorter, shorter = w_k s_{i+1},
     # less m * R_z for (z, m) in minus
     steps: list[tuple[int, int, int, list[tuple[int, int]]]]
@@ -340,22 +348,17 @@ class _TablePlan(NamedTuple):
 
 def _table_plan(kl: _KLBasis) -> _TablePlan:
     rmul = kl.rmul
+    mu = kl.mu
     size = len(kl.perms)
     gens = range(len(rmul[0]))
 
-    # mu pairs (z, mu(z, w)): the v^-1 coefficients of C_w, grouped by w
-    mu = [
-        [(z, p[-1]) for z, p in cw.items() if z != k and p.get(-1)]
-        for k, cw in enumerate(kl.basis)
-    ]
-
-    # Each R_{w_k} is built from R_{w_k s} and its mu-partners along the last
-    # right descent s.  Record the last step that reads each R_y, so that it
-    # can be dropped right after.
+    # Each R_{w_k} is built from R_{w_k s} and its mu-partners along the
+    # descent s that C_{w_k} was built along.  Record the last step that
+    # reads each R_y, so that it can be dropped right after.
     steps = []
     last_read: dict[int, int] = {}
     for k in range(1, size):
-        i = _last_descent(rmul, k)
+        i = kl.descent[k]
         shorter = rmul[k][i]
         minus = [(z, m) for z, m in mu[shorter] if rmul[z][i] < z]
         steps.append((k, i, shorter, minus))
@@ -381,7 +384,7 @@ def _table_plan(kl: _KLBasis) -> _TablePlan:
             abs(m) * largest[z] for z, m in minus
         )
     n = kl.perms[0].n
-    return _TablePlan(mu, steps, last_read, max(largest), n * (n - 1) // 2)
+    return _TablePlan(steps, last_read, max(largest), n * (n - 1) // 2)
 
 
 def _structure_matrices(
@@ -390,7 +393,7 @@ def _structure_matrices(
     """Yield (k, R_{w_k}) with packed cells, in the order they are built.
     Each R_y is dropped after the last step that reads it."""
     rmul = kl.rmul
-    mu = plan.mu
+    mu = kl.mu
     last_read = plan.last_read
     b = plan.b
     # times_s[i][j]: position of w_j s_{i+1}

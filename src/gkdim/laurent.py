@@ -8,8 +8,9 @@ from typing import Iterator, Mapping
 class LaurentPoly:
     """Immutable Laurent polynomial, stored as {exponent: coefficient}.
 
-    Zero coefficients are never stored; the zero polynomial has no terms and
-    its ``degree`` is None.
+    Zero coefficients are never stored: the constructor drops them, and is
+    the only place that does, so arithmetic only accumulates.  The zero
+    polynomial has no terms and its ``degree`` is None.
 
     >>> p = LaurentPoly({1: 1, -1: 1})
     >>> p * p == LaurentPoly({2: 1, 0: 2, -2: 1})
@@ -59,11 +60,7 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
@@ -81,11 +78,7 @@ class LaurentPoly:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__

@@ -292,6 +292,28 @@ class TestVerifyOracleCommand:
         assert code == 0
         assert "ok" in out
 
+    @pytest.mark.parametrize("output", ["json", "pretty"])
+    def test_disagreement_is_invariant_violation(self, capsys, monkeypatch,
+                                                 output):
+        # A tableau rule that is off by one at two permutations of S_3.
+        tableau_rule = gkdim.cli.a_value_of_permutation
+        wrong = {(2, 1, 3): 5, (3, 2, 1): 0}
+        monkeypatch.setattr(
+            gkdim.cli, "a_value_of_permutation",
+            lambda sigma: wrong.get(sigma.one_line, tableau_rule(sigma)),
+        )
+        code, out, err = run(
+            capsys, "verify-oracle", "--rank", "4", "--output", output
+        )
+        assert (code, err) == (3, "")
+        error = json.loads(out)["error"]
+        assert error["code"] == "invariant-violated"
+        assert "2 permutation(s)" in error["message"]
+        assert error["details"] == {"disagreements": [
+            {"n": 3, "sigma": [2, 1, 3], "hecke": 1, "tableau": 5},
+            {"n": 3, "sigma": [3, 2, 1], "hecke": 3, "tableau": 0},
+        ]}
+
     def test_rank_above_bound_is_domain_error(self, capsys):
         code, out, _ = run(capsys, "verify-oracle", "--rank", "6")
         assert code == 2

@@ -31,7 +31,6 @@ from gkdim.hecke import (
     _a_table,
     _check_kl_element,
     _kl_basis,
-    _last_descent,
     _structure_matrices,
     _table_plan,
     _top_degree,
@@ -216,6 +215,18 @@ class TestKLBasisAgainstReference:
                 w.times_s(i) for i in range(1, 4)
             ]
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_records_descent_and_mu(self, n):
+        kl = _kl_basis(n)
+        for k in range(1, len(kl.perms)):
+            w = kl.perms[k]
+            assert kl.descent[k] + 1 == max(w.right_descents())
+            v_inverse_terms = [
+                (kl.index[y.one_line], p[-1])
+                for y, p in kl_basis_element(w).terms.items() if p[-1]
+            ]
+            assert sorted(kl.mu[k]) == sorted(v_inverse_terms), w.one_line
+
     def test_invariant_failures_name_the_element(self):
         perms = _kl_basis(2).perms
         with pytest.raises(RuntimeError, match=r"w=\(2, 1\).*not 1") as info:
@@ -346,7 +357,9 @@ def reference_matrices(n):
     """Yield (k, R_{w_k}) with {degree: coeff} cells, as the table was built
     before its cells were packed: R_{y's} = R_{y'} R_s - sum of
     mu(z,y') R_z over zs < z, by sparse products against one matrix R_s per
-    generator, each R_y dropped after the last product that reads it."""
+    generator, each R_y dropped after the last product that reads it.  Each
+    R_y is built along the first right descent of y, where the oracle uses
+    the last: R_y does not depend on the descent."""
     kl = _kl_basis(n)
     rmul = kl.rmul
     size = len(kl.perms)
@@ -371,7 +384,7 @@ def reference_matrices(n):
     steps = []
     last_read = {}
     for k in range(1, size):
-        i = _last_descent(rmul, k)
+        i = min(j for j, ws in enumerate(rmul[k]) if ws < k)
         shorter = rmul[k][i]
         minus = [(z, m) for z, m in mu[shorter] if rmul[z][i] < z]
         steps.append((k, i, shorter, minus))

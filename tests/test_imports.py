@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,16 @@ def test_import_adds_no_dataclasses(module):
         check=True,
     ).stdout
     assert json.loads(out) == []
+
+
+def test_deprecation_warnings_from_gkdim_fail_the_tier():
+    # filterwarnings in pyproject.toml: an error when issued from a gkdim
+    # module, a warning when issued from anywhere else.
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit(
+            "deprecated", DeprecationWarning, "hecke.py", 1, module="gkdim.hecke"
+        )
+    with pytest.warns(DeprecationWarning):
+        warnings.warn_explicit(
+            "deprecated", DeprecationWarning, "other.py", 1, module="other"
+        )
