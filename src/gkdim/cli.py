@@ -11,25 +11,30 @@ integers, fractions a/b, or exact decimals).  Subcommands:
 
 Every option is parsed once, before stdin is read, so a bad --z is one parse
 error however many --batch lines follow.  Exit codes: 0 success, 1 parse
-error, 2 domain error, 3 violated internal invariant (two computations that
-must agree did not, as when verify-oracle finds the Hecke a-function and the
-tableau rule apart); 2 and 3 print a JSON error object on stdout.  With
---batch the status is the worst line's, and with --output pretty a blank
-line ends each answer.  If the reader closes stdout early, as `| head`
-does, output stops silently with status 141 (128 + SIGPIPE, the status a
-shell reports for a program that a closed pipe stops).
+error (or --batch with stdin closed), 2 domain error, 3 violated internal
+invariant (two computations that must agree did not, as when verify-oracle
+finds the Hecke a-function and the tableau rule apart), 4 stdout closed or
+not writable (such as a full disk); 2 and 3 print a JSON error object on
+stdout, 1 and 4 an `error:` line on stderr.  With --batch the status is the
+worst line's, a line that is not valid text in the locale's encoding is a
+parse error, and with --output pretty a blank line ends each answer.  If the
+reader closes stdout early, as `| head` does, output stops silently with
+status 141 (128 + SIGPIPE, the status a shell reports for a program that a
+closed pipe stops).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
 import sys
 from itertools import permutations as _all_one_lines
 
+# Eager: perfbench's tracer wraps loaded modules only; tests patch names here.
 from . import hecke
 from .dimension import GKReport, gk_dimension
 from .errors import DomainError, InvariantError, ParseError
@@ -237,6 +242,12 @@ def _run(args, answer) -> int:
         return 0
     if args.weight is not None:
         raise ParseError("--batch and --weight are mutually exclusive")
+    if sys.stdin is None:
+        raise ParseError("--batch reads stdin, which is closed")
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        # Undecodable bytes reach parse_weight, which rejects the line, as
+        # under a POSIX locale, rather than stopping the batch.
+        sys.stdin.reconfigure(errors="surrogateescape")
     worst = 0
     for line in sys.stdin:
         line = line.strip()
@@ -303,15 +314,23 @@ def _command(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:
+        print("error: stdout is closed", file=sys.stderr)
+        return 4
     try:
         status = _command(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader is gone, and Python flushes stdout again at exit: point
-        # it at the null device (the Python docs' recipe, note on SIGPIPE).
+    except OSError as exc:
+        # The reader is gone, or stdout cannot be written (a full disk).
+        # Python flushes stdout again at exit: point it at the null device
+        # (the Python docs' recipe, note on SIGPIPE).
         with open(os.devnull, "w") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"error: cannot write to stdout: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 4
     return status
 
 

@@ -744,6 +744,52 @@ class TestClosedStdout:
         assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def _shell_cli(redirect: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI under sh with `redirect` (such as `<&-`) applied."""
+    return subprocess.run(
+        ["sh", "-c", f'"$0" -m gkdim.cli "$@" {redirect}', sys.executable, *argv],
+        capture_output=True, env=_cli_env(buffered=True), timeout=60,
+    )
+
+
+class TestStreams:
+    """Undecodable, closed or unwritable standard streams give an `error:`
+    line or a parse-error answer, never a traceback."""
+
+    def test_undecodable_stdin_line_is_a_parse_error(self):
+        env = dict(_cli_env(buffered=True), PYTHONIOENCODING="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gkdim.cli", "gkdim", "--batch"],
+            input=b"3,1,2\n\xff,1\n2,1\n", capture_output=True, env=env,
+            timeout=60,
+        )
+        answers = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [a.get("gk_dimension") for a in answers] == [2, None, 0]
+        assert answers[1]["error"]["code"] == "parse-error"
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_closed_stdin(self):
+        proc = _shell_cli("<&-", "gkdim", "--batch")
+        assert proc.returncode == 1
+        assert proc.stderr == b"error: --batch reads stdin, which is closed\n"
+
+    def test_closed_stdout(self):
+        proc = _shell_cli(">&-", "gkdim", "--weight", "1,2")
+        assert (proc.returncode, proc.stderr) == (4, b"error: stdout is closed\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout(self):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gkdim.cli", "gkdim", "--batch"],
+                input=b"1,2\n", stdout=full, stderr=subprocess.PIPE,
+                env=_cli_env(buffered=True), timeout=60,
+            )
+        assert proc.returncode == 4
+        assert proc.stderr == (
+            b"error: cannot write to stdout: No space left on device\n")
+
+
 # Fuzz strategies. Weights have at most 12 entries and every --rank that
 # passes the rank gate is at most 5, so one example takes milliseconds.
 _SUBCOMMANDS = ["gkdim", "hermitian", "series", "unitary", "verify-oracle"]
