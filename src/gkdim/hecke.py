@@ -13,21 +13,21 @@ may depend on Robinson-Schensted theory.  Ranks are gated by a configurable
 bound (default 5).
 
 The KL basis is built once per rank, with S_n indexed by position in the
-length order: C_w = C_{w'} C_s - (constant terms at shorter y, stripped
-longest first) along the last right descent s of w, each C_w a dict
-{y: {degree: coeff}} of its nonzero T_y coefficients.  With each C_w the
-basis records that descent and the values mu(z, w), the v^-1 coefficients
-of C_w.  HeckeElements are made from it only on request.  The
-structure-constant table is the hot path, and it replays that record.  Each
-R_y = [h_{x,y,z}]_{x,z} is built along the descent recorded for y, by
-right-multiplying a shorter R_{y'} by a generator C_s in place, row by row,
-from the KL basis's w*s table and mu values; no matrix of C_s is formed and
-no general matrix product runs.  Each matrix cell is one int, its Laurent
-polynomial p packed as p(2^B) 2^(B D), with D = l(w0) and B derived from an
-a-priori bound on the coefficients, so the largest degree is read off the
-bit length.  Each R_y is folded into the per-column maximum degree as soon
-as it is built and dropped after the last step that reads it.  Nothing here
-needs more than the standard library.
+length order: C_w = C_{w'} C_s - (constant terms at shorter y) along the
+last right descent s of w, each C_w a dict {y: {degree: coeff}} of its
+nonzero T_y coefficients.  With each C_w the basis records that descent
+and the values mu(z, w), the v^-1 coefficients of C_w.  HeckeElements are
+made from it only on request.  The structure-constant table is the hot
+path, and it replays that record.  Each R_y = [h_{x,y,z}]_{x,z} is built
+along the descent recorded for y, by right-multiplying a shorter R_{y'} by
+a generator C_s in place, row by row, from the KL basis's w*s table and mu
+values; no matrix of C_s is formed and no general matrix product runs.
+Each matrix cell is one int, its Laurent polynomial p packed as
+p(2^B) 2^(B D), with D = l(w0) and B bounded from the KL basis by
+positivity, so the largest degree is read off the bit length.  Each R_y is
+folded into the per-column maximum degree as soon as it is built and
+dropped after the last step that reads it.  Nothing here needs more than
+the standard library.
 """
 
 from __future__ import annotations
@@ -232,16 +232,14 @@ def _kl_basis(n: int) -> _KLBasis:
             # T_y C_s = T_{ys} + v T_y if ys is shorter, else T_{ys} + v^-1 T_y
             _add_shifted(d, ys, p, 1, 0)
             _add_shifted(d, y, p, 1, 1 if ys < y else -1)
-        # Strip constant terms at shorter elements, longest first, so the
-        # result is congruent to T_w modulo strictly negative powers of v.
-        # Subtracting c C_y touches only y and shorter elements, which come
-        # later; since C_y - T_y lies in v^-1 Z[v^-1], it changes no other
-        # constant term, so the order does not change the result.
-        for y in range(k - 1, -1, -1):
-            c = d.get(y, {}).get(0)
-            if c:
-                for z, q in basis[y].items():
-                    _add_shifted(d, z, q, -c, 0)
+        # Strip the constant terms at shorter elements, so the result is
+        # congruent to T_w modulo strictly negative powers of v.  Since
+        # C_y - T_y lies in v^-1 Z[v^-1], subtracting c C_y clears the
+        # constant term at y and changes no other, so the terms to strip are
+        # read off the product once, before any subtraction.
+        for y, c in [(y, p[0]) for y, p in d.items() if y < k and p.get(0)]:
+            for z, q in basis[y].items():
+                _add_shifted(d, z, q, -c, 0)
         cw: _Row = {}
         for y, p in d.items():
             p = {e: coeff for e, coeff in p.items() if coeff}
@@ -287,7 +285,7 @@ def kl_basis_element(
     to T_w modulo strictly negative v-powers).
 
     The first lookup at rank n builds all n! basis elements of S_n: about
-    0.02 s at rank 5 and 0.45 s at rank 6.  Raising rank_bound past 6
+    0.01 s at rank 5 and 0.2-0.35 s at rank 6.  Raising rank_bound past 6
     makes that first lookup build all 5040 (rank 7) or more."""
     _check_rank(w.n, rank_bound)
     return _kl_element(w)
@@ -327,34 +325,34 @@ def kl_expand(elt: HeckeElement) -> dict[Permutation, LaurentPoly]:
 #   shorter R_z, so the degrees of R_y lie within +-l(y).  Only R_y with
 #   y != w0 are multiplied by v^-1; their degrees are at least 1 - D, so
 #   their P are multiples of 2^B and P >> B is exact.
-# - B = bound.bit_length() + 2, with bound an a-priori bound on |coeff| over
-#   every cell (see _table_plan).  While every |coeff| < 2^(B-2), p = 0 iff
-#   P == 0, and a nonzero P with largest degree t has a bit length (of |P|)
-#   in [B (t + D), B (t + D) + B - 2], so t = P.bit_length() // B - D.
+# - B = (c c).bit_length() + 2 (see _cell_width).  Setting v = 1 and
+#   T_w -> 1 is a ring map, so c_x c_y = sum_z h_{x,y,z}(1) c_z, where c_w
+#   is the sum of the T-coefficients of C_w.  In type A the coefficients of
+#   every C_w and every h_{x,y,z} are >= 0 (Kazhdan-Lusztig 1979; Lusztig,
+#   "Cells in affine Weyl groups", 1985), and c_z >= 1, so every
+#   coefficient of h_{x,y,z} is at most h_{x,y,z}(1) <= c_x c_y <= c^2,
+#   with c the largest c_w: 12 bits at rank 4, 17 at rank 5, 24 at rank 6.
+#   While every |coeff| < 2^(B-2), p = 0 iff P == 0, and a nonzero P with
+#   largest degree t has a bit length (of |P|) in [B (t + D), B (t + D) +
+#   B - 2], so t = P.bit_length() // B - D.
 
 
-class _TablePlan(NamedTuple):
-    # (k, i, shorter, minus): R_{w_k} from R_shorter, shorter = w_k s_{i+1},
-    # less m * R_z for (z, m) in minus
-    steps: list[tuple[int, int, int, list[tuple[int, int]]]]
-    last_read: dict[int, int]  # y -> the last step k that reads R_y
-    bound: int  # bounds |coeff| in every cell of every R_y
-    d: int  # l(w0), the degree offset of a packed cell
-
-    @property
-    def b(self) -> int:
-        return self.bound.bit_length() + 2
+def _cell_width(kl: _KLBasis) -> int:
+    c = max(sum(sum(p.values()) for p in cw.values()) for cw in kl.basis)
+    return (c * c).bit_length() + 2
 
 
-def _table_plan(kl: _KLBasis) -> _TablePlan:
+def _structure_matrices(
+    kl: _KLBasis, b: int
+) -> Iterator[tuple[int, list[dict[int, int]]]]:
+    """Yield (k, R_{w_k}) with cells packed at width b, in the order they
+    are built.  Each R_y is dropped after the last step that reads it."""
     rmul = kl.rmul
     mu = kl.mu
-    size = len(kl.perms)
-    gens = range(len(rmul[0]))
-
-    # Each R_{w_k} is built from R_{w_k s} and its mu-partners along the
-    # descent s that C_{w_k} was built along.  Record the last step that
-    # reads each R_y, so that it can be dropped right after.
+    size = len(rmul)
+    # (k, i, shorter, minus): R_{w_k} from R_shorter, shorter = w_k s_{i+1},
+    # less m * R_z for (z, m) in minus; last_read[y] is the last step k that
+    # reads R_y, so that it can be dropped right after.
     steps = []
     last_read: dict[int, int] = {}
     for k in range(1, size):
@@ -365,44 +363,13 @@ def _table_plan(kl: _KLBasis) -> _TablePlan:
         last_read[shorter] = k
         for z, _ in minus:
             last_read[z] = k
-
-    # The column weights of right multiplication by C_s: column z (zs < z)
-    # holds v + v^-1 from j = z, 1 from j = zs and mu(z,j) from each j with
-    # js > j.  A coefficient of R_{y'} C_s is at most the largest column
-    # weight times the largest |coeff| of R_{y'}.
-    weight = [[3 if rmul[z][i] < z else 0 for z in range(size)] for i in gens]
-    for j, cw in enumerate(mu):
-        for i in gens:
-            if rmul[j][i] > j:
-                for z, m in cw:
-                    if rmul[z][i] < z:
-                        weight[i][z] += abs(m)
-    col_weight = [max(w) for w in weight]
-    largest = [1] * size
-    for k, i, shorter, minus in steps:
-        largest[k] = col_weight[i] * largest[shorter] + sum(
-            abs(m) * largest[z] for z, m in minus
-        )
-    n = kl.perms[0].n
-    return _TablePlan(steps, last_read, max(largest), n * (n - 1) // 2)
-
-
-def _structure_matrices(
-    kl: _KLBasis, plan: _TablePlan
-) -> Iterator[tuple[int, list[dict[int, int]]]]:
-    """Yield (k, R_{w_k}) with packed cells, in the order they are built.
-    Each R_y is dropped after the last step that reads it."""
-    rmul = kl.rmul
-    mu = kl.mu
-    last_read = plan.last_read
-    b = plan.b
     # times_s[i][j]: position of w_j s_{i+1}
     times_s = [[w[i] for w in rmul] for i in range(len(rmul[0]))]
-    r: list[list[dict[int, int]] | None] = [None] * len(rmul)
-    one = 1 << (b * plan.d)
-    r[0] = [{x: one} for x in range(len(rmul))]
+    r: list[list[dict[int, int]] | None] = [None] * size
+    one = 1 << (b * kl.perms[-1].length())
+    r[0] = [{x: one} for x in range(size)]
     yield 0, r[0]
-    for k, i, shorter, minus in plan.steps:
+    for k, i, shorter, minus in steps:
         ts = times_s[i]
         subtract = [(r[z], m) for z, m in minus]
         mat = []
@@ -439,20 +406,18 @@ def _top_degree(bits: int, b: int, d: int) -> int:
 @_once_per_rank
 def _a_table(n: int) -> dict[tuple[int, ...], int]:
     kl = _kl_basis(n)
-    plan = _table_plan(kl)
+    b = _cell_width(kl)
     # A larger largest degree means a longer packed cell, so keeping the
     # longest bit length per column z keeps its largest degree.
     best = [0] * len(kl.perms)
-    for _, mat in _structure_matrices(kl, plan):
+    for _, mat in _structure_matrices(kl, b):
         for row in mat:
             for z, p in row.items():
                 bits = p.bit_length()
                 if bits > best[z]:
                     best[z] = bits
-    return {
-        w.one_line: _top_degree(best[k], plan.b, plan.d)
-        for k, w in enumerate(kl.perms)
-    }
+    d = n * (n - 1) // 2
+    return {w.one_line: _top_degree(best[k], b, d) for k, w in enumerate(kl.perms)}
 
 
 def a_function_definitional(

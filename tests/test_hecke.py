@@ -29,10 +29,10 @@ from gkdim import (
 )
 from gkdim.hecke import (
     _a_table,
+    _cell_width,
     _check_kl_element,
     _kl_basis,
     _structure_matrices,
-    _table_plan,
     _top_degree,
 )
 
@@ -204,6 +204,14 @@ class TestKLBasisAgainstReference:
         for ol in permutations(range(1, n + 1)):
             w = Permutation(ol)
             assert kl_basis_element(w) == reference_kl_element(w), ol
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_basis_and_mu_are_non_negative(self, n):
+        # The positivity that _cell_width's bound rests on.
+        kl = _kl_basis(n)
+        assert all(c >= 0 for cw in kl.basis for p in cw.values()
+                   for c in p.values())
+        assert all(m >= 0 for pairs in kl.mu for _, m in pairs)
 
     def test_index_follows_length_order(self):
         kl = _kl_basis(4)
@@ -481,7 +489,7 @@ class TestBuiltOncePerRank:
     def test_a_table(self, monkeypatch):
         _a_table.cache_clear()
         assert self.builds_from_two_threads(
-            monkeypatch, "_table_plan", lambda: _a_table(4)) == 1
+            monkeypatch, "_cell_width", lambda: _a_table(4)) == 1
 
     def test_kl_basis(self, monkeypatch):
         # itertools.permutations runs once per build of the KL basis.
@@ -500,20 +508,37 @@ class TestTableAgainstReference:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_cell_matches_reference(self, n):
         kl = _kl_basis(n)
-        plan = _table_plan(kl)
-        got = _structure_matrices(kl, plan)
+        b, d = _cell_width(kl), n * (n - 1) // 2
+        got = _structure_matrices(kl, b)
         for (k, mat), (k_ref, ref) in zip(got, reference_matrices(n), strict=True):
             assert k == k_ref
             decoded = [
-                {z: unpack(cell, plan.b, plan.d) for z, cell in row.items()}
-                for row in mat
+                {z: unpack(cell, b, d) for z, cell in row.items()} for row in mat
             ]
             assert decoded == ref, kl.perms[k].one_line
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_coefficient_bound_covers_reference(self, n):
-        plan = _table_plan(_kl_basis(n))
-        assert plan.bound >= reference_largest_coefficient(n)
+        b = _cell_width(_kl_basis(n))
+        assert 1 << (b - 2) > reference_largest_coefficient(n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_structure_constants_are_non_negative(self, n):
+        # The positivity that _cell_width's bound rests on.
+        assert all(
+            c >= 0
+            for _, mat in reference_matrices(n)
+            for row in mat
+            for poly in row.values()
+            for c in poly.values()
+        )
+
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_cell_width_is_tight(self, n):
+        # The bound c^2 is 7 and 9 bits above the true largest coefficient
+        # at ranks 4 and 5; a looser bound widens every packed cell.
+        b = _cell_width(_kl_basis(n))
+        assert b - 2 <= reference_largest_coefficient(n).bit_length() + 10
 
     def test_largest_coefficients(self):
         assert [reference_largest_coefficient(n) for n in (4, 5)] == [7, 36]
