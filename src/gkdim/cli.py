@@ -34,11 +34,12 @@ import os
 import sys
 from itertools import permutations as _all_one_lines
 
-# Eager: perfbench's tracer wraps loaded modules only; tests patch names here.
+# `dimension` and `hermitian` are imported in `_setup`, by the commands that
+# use them, so a cold verify-oracle compiles neither.  `hecke` loads here
+# because perfbench's tracer wraps only modules loaded when it installs.
 from . import hecke
-from .dimension import GKReport, gk_dimension
 from .errors import DomainError, InvariantError, ParseError
-from .hermitian import _unitary_gkdim, gk_pq, gkdim_series, unitary_interval
+# Tests patch the names from these two on this module.
 from .permutations import Permutation, a_value_of_permutation
 from .weights import PQContext, parse_rational, parse_weight
 
@@ -145,7 +146,7 @@ def _parse_z_range(text: str) -> tuple[int, int]:
         raise ParseError(f"expected z_from,z_to integers: {text!r}") from None
 
 
-def _pretty_gk(report: GKReport) -> str:
+def _pretty_gk(report) -> str:
     lines = [
         f"n = {report.n}   nu0 = {report.nu0}   integral = {report.integral}",
         f"a-value = {report.a_value}   GK dimension = {report.gk_dimension}",
@@ -185,11 +186,14 @@ def _setup(args):
     """Parse the options of gkdim, hermitian, series or unitary once, before
     stdin is read; return answer(weight) -> (JSON object, pretty callable)."""
     if args.command == "gkdim":
+        from .dimension import gk_dimension
+
         def answer(w):
             report = gk_dimension(w)
             return report.to_json(), lambda: _pretty_gk(report)
         return answer
     ctx = _parse_pq(args.pq)
+    from .hermitian import _unitary_gkdim, gk_pq, gkdim_series, unitary_interval
     if args.command == "hermitian":
         def answer(w):
             report = gk_pq(w, ctx)

@@ -267,8 +267,8 @@ class TestUnitaryCommand:
             return build(w, ctx)
         monkeypatch.setattr(gkdim.hermitian, "pq_dominance_violation",
                             counting_check)
-        for module in (gkdim.hermitian, gkdim.cli):
-            monkeypatch.setattr(module, "unitary_interval", counting_build)
+        # The CLI reads unitary_interval from gkdim.hermitian at call time.
+        monkeypatch.setattr(gkdim.hermitian, "unitary_interval", counting_build)
         code, out, _ = run(
             capsys, "unitary", "--weight", "2,1,4,3,2", "--pq", "2,3", "--z=1"
         )

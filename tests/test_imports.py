@@ -1,12 +1,17 @@
-"""The package is pure standard library: importing it loads no numpy, and
-it loads no `dataclasses` (nor the `inspect` that module imports).
+"""The package is pure standard library: importing it, or running any CLI
+command, loads no numpy and no `dataclasses` (nor the `inspect` that module
+imports).
 
 A bare `import gkdim` loads no submodule: each public name is imported from
-its module on first use (PEP 562 `__getattr__`).  `import gkdim.cli` still
-loads all eight library modules at start, because the benchmark's tracer
-wraps only modules already loaded and tests patch names in `gkdim.cli`."""
+its module on first use (PEP 562 `__getattr__`).  `import gkdim.cli` loads
+six of the eight library modules; `dimension` and `hermitian` load only when
+a command that uses them runs, so `verify-oracle` compiles neither.  `hecke`
+loads at import because the benchmark's tracer wraps only modules already
+loaded, and `permutations` and `weights` because tests patch names in
+`gkdim.cli`."""
 
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -17,39 +22,47 @@ from pathlib import Path
 import pytest
 
 import gkdim
+import gkdim.cli
 
 SRC = str(Path(gkdim.__file__).resolve().parents[1])
 
 
-@pytest.mark.parametrize("module", ["gkdim", "gkdim.cli"])
+def _fresh(code: str, stdin: str = "") -> tuple[str, list[str]]:
+    """Run `code` in a fresh interpreter: (its stdout, the sorted modules it
+    added to those a bare interpreter has loaded already)."""
+    probe = ("import sys; before = set(sys.modules)\n" + code + "\n"
+             "import json; print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, input=stdin,
+        capture_output=True, text=True, check=True,
+    ).stdout
+    *answer, added = out.splitlines(keepends=True)
+    return "".join(answer), json.loads(added)
+
+
+def _gkdim_modules(added: list[str]) -> list[str]:
+    return [m for m in added if m.split(".")[0] == "gkdim"]
+
+
+def _numpy_modules(added: list[str]) -> list[str]:
+    return [m for m in added if m.split(".")[0] == "numpy"]
+
+
+# `dataclasses`, and the `inspect` it imports: the package loads neither.
+DATACLASSES = {"dataclasses", "inspect"}
+
+
+# test_command_loads_only_its_modules makes both checks for `gkdim.cli` and
+# for each command.
+@pytest.mark.parametrize("module", ["gkdim"])
 def test_import_loads_no_numpy(module):
-    code = (
-        f"import json, sys, {module}; "
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')))"
-    )
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
-    ).stdout
-    assert json.loads(out) == []
+    assert _numpy_modules(_fresh(f"import {module}")[1]) == []
 
 
-@pytest.mark.parametrize("module", ["gkdim", "gkdim.cli"])
+@pytest.mark.parametrize("module", ["gkdim"])
 def test_import_adds_no_dataclasses(module):
-    # Compared with the modules a bare interpreter has loaded already.
-    code = (
-        "import sys; before = set(sys.modules); "
-        f"import {module}; "
-        "added = set(sys.modules) - before; "
-        "import json; print(json.dumps(sorted(added & {'dataclasses', 'inspect'})))"
-    )
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
-    ).stdout
-    assert json.loads(out) == []
+    assert set(_fresh(f"import {module}")[1]) & DATACLASSES == set()
 
 
 def test_deprecation_warnings_from_gkdim_fail_the_tier():
@@ -65,33 +78,54 @@ def test_deprecation_warnings_from_gkdim_fail_the_tier():
         )
 
 
-LIBRARY_MODULES = ["dimension", "errors", "hecke", "hermitian", "laurent",
-                   "permutations", "tableaux", "weights"]
-
-
-def _loaded_after(code: str) -> list[str]:
-    """The gkdim modules loaded in a fresh interpreter after `code`."""
-    code += ("; import json, sys; "
-             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('gkdim'))))")
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
-    ).stdout
-    return json.loads(out)
-
-
 def test_bare_import_loads_no_submodule():
-    assert _loaded_after("import gkdim") == ["gkdim"]
+    assert _gkdim_modules(_fresh("import gkdim")[1]) == ["gkdim"]
 
 
-def test_cli_import_loads_every_library_module():
-    assert _loaded_after("import gkdim.cli") == sorted(
-        ["gkdim", "gkdim.cli"] + [f"gkdim.{m}" for m in LIBRARY_MODULES])
+# Loaded by `import gkdim.cli`, and so by every command.
+CLI_MODULES = ["errors", "hecke", "laurent", "permutations", "tableaux",
+               "weights"]
+
+# (argv, stdin, library modules the command adds to CLI_MODULES); the stdin
+# lines are the first of each command's batch golden in test_cli.py.
+COMMANDS = [
+    ((), "", []),
+    (("gkdim", "--batch"), "1,2,3\n", ["dimension"]),
+    (("hermitian", "--pq", "4,6", "--batch"), "6,5,3,2,9,8,7,4,2,1\n",
+     ["hermitian"]),
+    (("series", "--pq", "2,3", "--z-range=0,5", "--batch"), "2,1,4,3,2\n",
+     ["hermitian"]),
+    (("unitary", "--pq", "4,4", "--z=1/2", "--batch"), "3,2,1,0,6,5,4,3\n",
+     ["hermitian"]),
+    (("verify-oracle", "--rank", "3"), "", []),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,extra", COMMANDS,
+    ids=[argv[0] if argv else "import" for argv, *_ in COMMANDS],
+)
+def test_command_loads_only_its_modules(capsys, monkeypatch, argv, stdin,
+                                        extra):
+    """A cold `import gkdim.cli`, then one command through `main`: the
+    library modules it loaded, and its answer, which is the in-process one."""
+    code = "import gkdim.cli"
+    if argv:
+        code += f"\nassert gkdim.cli.main({list(argv)!r}) == 0"
+    out, added = _fresh(code, stdin)
+    assert _gkdim_modules(added) == sorted(
+        ["gkdim", "gkdim.cli"] + [f"gkdim.{m}" for m in CLI_MODULES + extra])
+    assert _numpy_modules(added) == []
+    assert set(added) & DATACLASSES == set()
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    if argv:
+        assert gkdim.cli.main(list(argv)) == 0
+    assert out == capsys.readouterr().out
 
 
 def test_a_name_loads_only_what_its_module_imports():
-    assert "gkdim.hecke" not in _loaded_after("import gkdim; gkdim.gk_dimension")
+    assert "gkdim.hecke" not in _fresh("import gkdim; gkdim.gk_dimension")[1]
 
 
 @pytest.mark.parametrize("name", gkdim.__all__)
@@ -113,7 +147,7 @@ def test_star_import_dir_and_submodules_after_a_bare_import():
         "names = {}; exec('from gkdim import *', names); "
         "assert sorted(set(names) - {'__builtins__'}) == gkdim.__all__"
     )
-    assert "gkdim.hecke" in _loaded_after(code)
+    assert "gkdim.hecke" in _fresh(code)[1]
 
 
 def test_unknown_name_is_an_attribute_error():
