@@ -53,14 +53,13 @@ def _numpy_modules(added: list[str]) -> list[str]:
 DATACLASSES = {"dataclasses", "inspect"}
 
 
-# test_command_loads_only_its_modules makes both checks for `gkdim.cli` and
-# for each command.
-@pytest.mark.parametrize("module", ["gkdim"])
+# test_command_loads_only_its_modules makes both checks for each command too.
+@pytest.mark.parametrize("module", ["gkdim", "gkdim.cli"])
 def test_import_loads_no_numpy(module):
     assert _numpy_modules(_fresh(f"import {module}")[1]) == []
 
 
-@pytest.mark.parametrize("module", ["gkdim"])
+@pytest.mark.parametrize("module", ["gkdim", "gkdim.cli"])
 def test_import_adds_no_dataclasses(module):
     assert set(_fresh(f"import {module}")[1]) & DATACLASSES == set()
 
@@ -122,6 +121,22 @@ def test_command_loads_only_its_modules(capsys, monkeypatch, argv, stdin,
     if argv:
         assert gkdim.cli.main(list(argv)) == 0
     assert out == capsys.readouterr().out
+
+
+def test_cli_import_loads_every_library_module():
+    """`import gkdim.cli` and the commands that defer a module load, between
+    them, every library module in the package, so COMMANDS names them all."""
+    package = Path(gkdim.__file__).parent
+    library = sorted(f.stem for f in package.glob("*.py")
+                     if f.stem not in {"__init__", "__main__", "cli"})
+    code = "import gkdim.cli"
+    for argv, stdin, extra in COMMANDS:
+        if extra:
+            code += (f"\nimport io; sys.stdin = io.StringIO({stdin!r})"
+                     f"\nassert gkdim.cli.main({list(argv)!r}) == 0")
+    added = _gkdim_modules(_fresh(code)[1])
+    assert added == sorted(["gkdim", "gkdim.cli"]
+                           + [f"gkdim.{m}" for m in library])
 
 
 def test_a_name_loads_only_what_its_module_imports():
