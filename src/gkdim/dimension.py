@@ -72,10 +72,16 @@ class GKReport(NamedTuple):
 
 
 def gk_dimension(w: Weight) -> GKReport:
-    """Full report: n, n(n-1)/2, the a-value and the GK dimension."""
+    """Full report: n, n(n-1)/2, the a-value and the GK dimension.
+
+    The a-value is the column statistic of each tableau, summed.  It is read
+    off the row lengths as n(lambda) = sum of (i-1)*lambda_i, which equals
+    the sum of C(c, 2) over the column sizes c (Macdonald I (1.6)), so no
+    `Shape` is built.
+    """
     classes = congruence_decomposition(w)
     tableaux = tuple(insertion_tableau(c.entries) for c in classes)
-    total = sum(t.shape().column_statistic() for t in tableaux)
+    total = sum(i * len(r) for t in tableaux for i, r in enumerate(t.rows))
     nu0 = w.n * (w.n - 1) // 2
     return GKReport(
         n=w.n,

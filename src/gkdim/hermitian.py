@@ -67,12 +67,12 @@ class BallSignature(NamedTuple("BallSignature", [("runs", tuple[int, ...])])):
     __slots__ = ()
 
     def __new__(cls, runs: Iterable[int]):
-        rs = tuple(int(x) for x in runs)
+        rs = tuple(map(int, runs))
         if len(rs) < 2 or len(rs) % 2:
             raise ValueError("signature needs even length 2r with r >= 1")
-        if any(x < 0 for x in rs):
+        if min(rs) < 0:
             raise ValueError("run lengths must be nonnegative")
-        if any(x == 0 for x in rs[1:-1]):
+        if 0 in rs[1:-1]:
             raise ValueError("interior run lengths must be positive")
         return tuple.__new__(cls, (rs,))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from operator import ge, gt
 from typing import Iterable, NamedTuple, Sequence
 
 Entry = Fraction | int
@@ -54,7 +55,16 @@ class Shape(NamedTuple("Shape", [("column_sizes", tuple[int, ...])])):
         return sum(self.column_sizes)
 
     def column_statistic(self) -> int:
-        """Sum of c*(c-1)/2 over the column sizes c."""
+        """Sum of c*(c-1)/2 over the column sizes c.
+
+        This is n(lambda) = sum of (i-1)*lambda_i over the row lengths
+        lambda_i, since each box in row i adds i-1 to the pairs of its
+        column (Macdonald, Symmetric Functions and Hall Polynomials,
+        I (1.6)).  `gk_dimension` reads it off the row lengths that way.
+
+        >>> Shape.from_row_lengths([2, 2, 1]).column_statistic()
+        4
+        """
         return sum(c * (c - 1) // 2 for c in self.column_sizes)
 
     def __repr__(self) -> str:
@@ -68,7 +78,7 @@ class Tableau(NamedTuple("Tableau", [("rows", tuple[tuple[Entry, ...], ...])])):
     __slots__ = ()
 
     def __new__(cls, rows: Iterable[Sequence[Entry]] = ()):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(map(tuple, rows))
         _validate(rows)
         return tuple.__new__(cls, (rows,))
 
@@ -143,12 +153,13 @@ def _validate(rows: Sequence[Sequence[Entry]]) -> None:
     for i, r in enumerate(rows):
         if not r:
             raise ValueError("empty tableau row")
-        if any(r[j] > r[j + 1] for j in range(len(r) - 1)):
+        if any(map(gt, r, r[1:])):
             raise ValueError(f"row {i + 1} is not weakly increasing")
     for i in range(len(rows) - 1):
         if len(rows[i]) < len(rows[i + 1]):
             raise ValueError("row lengths must weakly decrease")
-        if any(rows[i][j] >= rows[i + 1][j] for j in range(len(rows[i + 1]))):
+        # The longer upper row is cut to the lower row's length by map.
+        if any(map(ge, rows[i], rows[i + 1])):
             raise ValueError(f"column not strictly increasing at row {i + 2}")
 
 

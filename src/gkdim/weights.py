@@ -57,7 +57,10 @@ def parse_rational(token: str) -> Fraction:
         ) from None
     if d == 0:
         raise ParseError(f"zero denominator: {token!r}")
-    return Fraction(-n if sign == "-" else n, d)
+    if sign == "-":
+        n = -n
+    # One int argument takes Fraction's fast path, with no gcd.
+    return Fraction(n) if d == 1 else Fraction(n, d)
 
 
 def congruence_key(e: Fraction | int) -> tuple[int, int]:
@@ -206,6 +209,5 @@ def add_z_zeta(w: Weight, ctx: PQContext, z: Fraction | int) -> Weight:
     """Add z to the first p entries (z times the weight with p ones, q zeros)."""
     ctx.check(w)
     z = Fraction(z)
-    return Weight(
-        e + z if i < ctx.p else e for i, e in enumerate(w.entries)
-    )
+    es = w.entries
+    return Weight([e + z for e in es[: ctx.p]] + list(es[ctx.p :]))

@@ -45,6 +45,23 @@ mixed_weights = st.lists(
 ).map(Weight)
 
 
+# Up to 40 entries with few integer parts, so ties are heavy, shifted by
+# halves, thirds and decimal offsets, so classes mix denominators.
+long_mixed_weights = st.lists(
+    st.builds(lambda k, c: k + c, st.integers(-6, 6),
+              st.sampled_from([F(0), F(1, 2), F(-1, 3), F(2, 3), F(1, 10),
+                               F(-3, 4)])),
+    min_size=1,
+    max_size=40,
+).map(Weight)
+
+
+def reference_a_value(report: GKReport) -> int:
+    """The a-value through a `Shape` per tableau, as `gk_dimension` summed
+    it before reading it off the row lengths."""
+    return sum(t.shape().column_statistic() for t in report.tableaux)
+
+
 def reference_congruence_decomposition(w: Weight) -> list[CongruenceClass]:
     """The decomposition by Fraction subtraction against each class's first
     entry, as it was written before the congruence key."""
@@ -192,6 +209,22 @@ class TestGKReport:
     def test_rank_one(self):
         report = gk_dimension(Weight([F(5, 2)]))
         assert report.nu0 == 0 and report.gk_dimension == 0
+
+    @settings(max_examples=200)
+    @given(st.one_of(weights, mixed_weights, long_mixed_weights))
+    def test_a_value_against_shapes(self, w):
+        report = gk_dimension(w)
+        assert report.a_value == reference_a_value(report)
+
+    @pytest.mark.parametrize("text", [
+        INTRO, "1.1,0.1,-0.9,2.1,1.1,0.1", "-3/2,-1/2,-3/2,5/2,-1/3,2/3,-1/3",
+        ",".join(["2", "1/2", "-1/3"] * 13), ",".join(["0"] * 40),
+        ",".join(str(k) for k in range(40, 0, -1)),
+    ], ids=["intro", "decimals", "negative-mixed", "three-classes-39",
+            "all-equal-40", "decreasing-40"])
+    def test_a_value_against_shapes_examples(self, text):
+        report = gk_dimension(parse_weight(text))
+        assert report.a_value == reference_a_value(report)
 
     @given(weights)
     def test_identity_constraint(self, w):

@@ -125,7 +125,42 @@ def test_value_type_validation(make, message):
     check_value_error(make, message)
 
 
+def reference_ball_signature(runs):
+    """The runs `BallSignature(runs)` holds, or the message it raises, by
+    one generator per check, as the constructor did before its C-level
+    passes."""
+    rs = tuple(int(x) for x in runs)
+    if len(rs) < 2 or len(rs) % 2:
+        return "signature needs even length 2r with r >= 1"
+    if any(x < 0 for x in rs):
+        return "run lengths must be nonnegative"
+    if any(x == 0 for x in rs[1:-1]):
+        return "interior run lengths must be positive"
+    return rs
+
+
 class TestBallSignature:
+    @staticmethod
+    def check(runs):
+        expected = reference_ball_signature(runs)
+        if isinstance(expected, str):
+            check_value_error(lambda: BallSignature(runs), expected)
+        else:
+            assert BallSignature(runs).runs == expected
+
+    @pytest.mark.parametrize("runs", [
+        (), (3,), (1, 2, 3), (0,), (-1,), (-1, 2, 3),
+        (-1, 2), (1, -2), (0, -1), (2, 0, 0, 1), (1, 0, 1, 1), (-1, 0, 0, 1),
+        (0, 2), (2, 0), (0, 0), (0, 1, 1, 0), (0, 3, 2, 1, 1, 0), (3, 2, 1, 1),
+        [1.0, 2.0], (True, False),
+    ], ids=repr)
+    def test_against_reference_examples(self, runs):
+        self.check(runs)
+
+    @given(st.lists(st.integers(-2, 4), max_size=9))
+    def test_against_reference(self, runs):
+        self.check(runs)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BallSignature((1, 2, 3))  # odd length

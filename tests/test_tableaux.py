@@ -65,6 +65,20 @@ def _overwrite(args):
     return rows
 
 
+def _two_runs_tableau(args):
+    """The insertion tableau of two strictly decreasing runs of one class,
+    as `gk_pq` inserts a (p,q)-dominant weight: tall, at most two columns."""
+    blacks, whites, c = args
+    runs = [sorted(set(ks), reverse=True) for ks in (blacks, whites)]
+    return insertion_tableau([k + c for run in runs for k in run]).rows
+
+
+_runs = st.lists(st.integers(-12, 12), min_size=1, max_size=12)
+_two_column_rows = st.tuples(_runs, _runs, _offsets).map(_two_runs_tableau)
+_tall_entries = st.one_of(
+    _small_entries, st.builds(lambda k, c: k + c, st.integers(-13, 13), _offsets)
+)
+
 candidate_rows = st.one_of(
     st.lists(st.lists(_small_entries, max_size=4), max_size=4),
     st.one_of(_one_class_seqs, st.lists(_small_entries, max_size=10))
@@ -73,6 +87,14 @@ candidate_rows = st.one_of(
         _one_class_seqs.map(lambda seq: insertion_tableau(seq).rows),
         st.integers(0, 9), st.integers(0, 9), _small_entries,
     ).map(_overwrite),
+    _two_column_rows,
+    st.tuples(
+        _two_column_rows, st.integers(0, 23), st.integers(0, 1), _tall_entries,
+    ).map(_overwrite),
+)
+
+partitions = st.lists(st.integers(1, 12), max_size=12).map(
+    lambda parts: sorted(parts, reverse=True)
 )
 
 
@@ -127,6 +149,12 @@ class TestShape:
     def test_column_statistic_values(self):
         assert Shape((3, 1, 1)).column_statistic() == 3
         assert Shape((2, 1)).column_statistic() == 1
+
+    @given(partitions)
+    def test_column_statistic_from_row_lengths(self, rows):
+        # n(lambda) = sum of (i-1)*lambda_i, the identity gk_dimension uses.
+        expected = Shape.from_row_lengths(rows).column_statistic()
+        assert sum(i * r for i, r in enumerate(rows)) == expected
 
     @given(st.integers(0, 30))
     def test_single_column(self, k):
@@ -193,6 +221,11 @@ class TestValidation:
             Tableau([[2, 1], [3, 4], [5]])
         with pytest.raises(ValueError, match="column not strictly"):
             Tableau([[1, 2], [3, 4], [2]])
+
+    @given(_two_column_rows)
+    def test_two_runs_give_gk_pq_shapes(self, rows):
+        assert all(len(r) <= 2 for r in rows)
+        assert Tableau(rows).rows == rows
 
     @settings(max_examples=300)
     @given(candidate_rows)

@@ -385,7 +385,41 @@ class TestPQContextValue:
         assert (len(ctx), list(ctx), ctx) == (2, [4, 6], (4, 6))
 
 
+def reference_add_z_zeta(w: Weight, ctx: PQContext, z) -> Weight:
+    """The shift with one branch per entry, as `add_z_zeta` was written
+    before it sliced the weight."""
+    ctx.check(w)
+    z = F(z)
+    return Weight(e + z if i < ctx.p else e for i, e in enumerate(w.entries))
+
+
+_shifts = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
 class TestAddZZeta:
+    @staticmethod
+    def check(w, ctx, z):
+        expected = reference_add_z_zeta(w, ctx, z)
+        got = add_z_zeta(w, ctx, z)
+        assert got.entries == expected.entries
+        assert all(type(e) is F for e in got.entries)
+
+    @pytest.mark.parametrize("z", [0, 3, -4, F(7), F(1, 2), F(-5, 3), -F(1, 2)],
+                             ids=repr)
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 4), (4, 1), (2, 3)])
+    def test_against_reference_examples(self, p, q, z):
+        w = Weight([F(k, 2) - 3 for k in range(p + q)])
+        self.check(w, PQContext(p, q), z)
+
+    @given(mixed_lists.filter(lambda es: len(es) >= 2), st.integers(1, 11),
+           _shifts)
+    def test_against_reference(self, entries, p, z):
+        p = min(p, len(entries) - 1)
+        self.check(Weight(entries), PQContext(p, len(entries) - p), z)
+
     def test_integer_shift(self):
         w = add_z_zeta(Weight([2, 1, 4, 3, 2]), PQContext(2, 3), 3)
         assert w.entries == (5, 4, 4, 3, 2)
