@@ -76,12 +76,12 @@ def gk_dimension(w: Weight) -> GKReport:
 
     The a-value is the column statistic of each tableau, summed.  It is read
     off the row lengths as n(lambda) = sum of (i-1)*lambda_i, which equals
-    the sum of C(c, 2) over the column sizes c (Macdonald I (1.6)), so no
-    `Shape` is built.
+    the sum of C(c, 2) over the column sizes c (Macdonald I (1.6)); see
+    `Tableau.a_value`.
     """
     classes = congruence_decomposition(w)
     tableaux = tuple(insertion_tableau(c.entries) for c in classes)
-    total = sum(i * len(r) for t in tableaux for i, r in enumerate(t.rows))
+    total = sum(t.a_value() for t in tableaux)
     nu0 = w.n * (w.n - 1) // 2
     return GKReport(
         n=w.n,

@@ -138,10 +138,7 @@ def rs_of_permutation(a: Permutation) -> tuple[Tableau, Tableau]:
 
 def a_value_of_permutation(a: Permutation) -> int:
     """Column statistic of the insertion tableau shape."""
-    # Through `Shape` on purpose, not the row-length sum of `gk_dimension`:
-    # verify-oracle compares this with the Hecke a-function, so its tableau
-    # side does not rest on the identity it would then be checking.
-    return insertion_tableau(a.one_line).shape().column_statistic()
+    return insertion_tableau(a.one_line).a_value()
 
 
 def parabolic_longest(s: Shape, n: int) -> Permutation:

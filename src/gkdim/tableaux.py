@@ -60,7 +60,7 @@ class Shape(NamedTuple("Shape", [("column_sizes", tuple[int, ...])])):
         This is n(lambda) = sum of (i-1)*lambda_i over the row lengths
         lambda_i, since each box in row i adds i-1 to the pairs of its
         column (Macdonald, Symmetric Functions and Hall Polynomials,
-        I (1.6)).  `gk_dimension` reads it off the row lengths that way.
+        I (1.6)).  `Tableau.a_value` reads it off the row lengths that way.
 
         >>> Shape.from_row_lengths([2, 2, 1]).column_statistic()
         4
@@ -88,6 +88,15 @@ class Tableau(NamedTuple("Tableau", [("rows", tuple[tuple[Entry, ...], ...])])):
 
     def shape(self) -> Shape:
         return Shape.from_row_lengths([len(r) for r in self.rows])
+
+    def a_value(self) -> int:
+        """The column statistic of the shape, read off the row lengths as
+        n(lambda) = sum of (i-1)*lambda_i (Macdonald I (1.6)), with no `Shape`.
+
+        >>> Tableau([[1, 2], [3, 4], [5]]).a_value()
+        4
+        """
+        return sum(i * len(r) for i, r in enumerate(self.rows))
 
     def column(self, j: int) -> tuple[Entry, ...]:
         """Entries of the j-th column (1-indexed), top to bottom."""

@@ -57,10 +57,7 @@ def parse_rational(token: str) -> Fraction:
         ) from None
     if d == 0:
         raise ParseError(f"zero denominator: {token!r}")
-    if sign == "-":
-        n = -n
-    # One int argument takes Fraction's fast path, with no gcd.
-    return Fraction(n) if d == 1 else Fraction(n, d)
+    return Fraction(-n if sign == "-" else n, d)
 
 
 def congruence_key(e: Fraction | int) -> tuple[int, int]:

@@ -70,7 +70,9 @@ def _two_runs_tableau(args):
     as `gk_pq` inserts a (p,q)-dominant weight: tall, at most two columns."""
     blacks, whites, c = args
     runs = [sorted(set(ks), reverse=True) for ks in (blacks, whites)]
-    return insertion_tableau([k + c for run in runs for k in run]).rows
+    rows = insertion_tableau([k + c for run in runs for k in run]).rows
+    assert all(len(r) <= 2 for r in rows)
+    return rows
 
 
 _runs = st.lists(st.integers(-12, 12), min_size=1, max_size=12)
@@ -152,9 +154,10 @@ class TestShape:
 
     @given(partitions)
     def test_column_statistic_from_row_lengths(self, rows):
-        # n(lambda) = sum of (i-1)*lambda_i, the identity gk_dimension uses.
-        expected = Shape.from_row_lengths(rows).column_statistic()
-        assert sum(i * r for i, r in enumerate(rows)) == expected
+        # n(lambda) = sum of (i-1)*lambda_i, the identity Tableau.a_value uses;
+        # entry i+j at (i, j) makes a tableau of any shape.
+        t = Tableau([[i + j for j in range(r)] for i, r in enumerate(rows)])
+        assert t.a_value() == Shape.from_row_lengths(rows).column_statistic()
 
     @given(st.integers(0, 30))
     def test_single_column(self, k):
@@ -221,11 +224,6 @@ class TestValidation:
             Tableau([[2, 1], [3, 4], [5]])
         with pytest.raises(ValueError, match="column not strictly"):
             Tableau([[1, 2], [3, 4], [2]])
-
-    @given(_two_column_rows)
-    def test_two_runs_give_gk_pq_shapes(self, rows):
-        assert all(len(r) <= 2 for r in rows)
-        assert Tableau(rows).rows == rows
 
     @settings(max_examples=300)
     @given(candidate_rows)
