@@ -15,19 +15,29 @@ bound (default 5).
 The KL basis is built once per rank, with S_n indexed by position in the
 length order: C_w = C_{w'} C_s - (constant terms at shorter y) along the
 last right descent s of w, each C_w a dict {y: {degree: coeff}} of its
-nonzero T_y coefficients.  With each C_w the basis records that descent
-and the values mu(z, w), the v^-1 coefficients of C_w.  HeckeElements are
-made from it only on request.  The structure-constant table is the hot
-path, and it replays that record.  Each R_y = [h_{x,y,z}]_{x,z} is built
-along the descent recorded for y, by right-multiplying a shorter R_{y'} by
-a generator C_s in place, row by row, from the KL basis's w*s table and mu
-values; no matrix of C_s is formed and no general matrix product runs.
-Each matrix cell is one int, its Laurent polynomial p packed as
-p(2^B) 2^(B D), with D = l(w0) and B bounded from the KL basis by
-positivity, so the largest degree is read off the bit length.  Each R_y is
-folded into the per-column maximum degree as soon as it is built and
-dropped after the last step that reads it.  Nothing here needs more than
-the standard library.
+nonzero T_y coefficients.  Two symmetries save most of that work and half
+of the table's.  The diagram automorphism T_w -> T_{w*}, w* = w0 w w0, is
+a ring automorphism and T_w -> T_{w^-1} a ring anti-automorphism; both
+commute with the bar involution, so they map C_w to C_{w*} and to
+C_{w^-1} (Kazhdan-Lusztig, "Representations of Coxeter groups and Hecke
+algebras", 1979).  So when w*, w^-1 or (w^-1)* comes earlier in the length
+order, C_w is that element with its T_y relabelled.  With each C_w the
+basis records the last right descent and the values mu(z, w), the v^-1
+coefficients of C_w.  HeckeElements are made from it only on request.  The
+structure-constant table is the hot path, and it replays that record.
+Each R_y = [h_{x,y,z}]_{x,z} is built along the descent recorded for y, by
+right-multiplying a shorter R_{y'} by a generator C_s in place, row by
+row, from the KL basis's table of w s and its mu values; no matrix of
+C_s is formed and no general matrix product runs.  Row x of every R_y
+depends only on row x of shorter ones, and h_{x*,y,z} = h_{x,y*,z*}, so
+only the rows x that come no later than x* are built, one per orbit of
+x -> x*, and column z* stands in for the rows left out of column z.  Each
+matrix cell is one int, its Laurent polynomial p packed as p(2^B) 2^(B D),
+with D = l(w0) and B bounded from the KL basis by positivity, so the
+largest degree is read off the bit length.  Each R_y is folded into the
+per-column maximum degree as soon as it is built and dropped after the
+last step that reads it.  Nothing here needs more than the standard
+library.
 """
 
 from __future__ import annotations
@@ -177,6 +187,7 @@ class _KLBasis(NamedTuple):
     perms: tuple[Permutation, ...]  # in the length order
     index: dict[tuple[int, ...], int]  # one-line notation -> position
     rmul: tuple[tuple[int, ...], ...]  # rmul[k][i]: position of w_k s_{i+1}
+    star: tuple[int, ...]  # star[k]: position of w0 w_k w0
     basis: tuple[_Row, ...]  # basis[k]: C_{w_k} in the T basis
     # descent[k]: the last right descent i of w_k (w_k s_{i+1} is shorter),
     # 0-based, along which C_{w_k} is built; -1 for the identity
@@ -218,6 +229,11 @@ def _kl_basis(n: int) -> _KLBasis:
     rmul = tuple(
         tuple(index[w.times_s(i).one_line] for i in range(1, n)) for w in perms
     )
+    # w0 w w0 sends i to n+1 - w(n+1-i).
+    star = tuple(index[tuple(n + 1 - v for v in reversed(w.one_line))]
+                 for w in perms)
+    inverse = tuple(index[w.inverse().one_line] for w in perms)
+    star_inverse = tuple(star[y] for y in inverse)
     basis: list[_Row] = [{0: {0: 1}}]
     descent = [-1]
     mu: list[tuple[tuple[int, int], ...]] = [()]
@@ -225,33 +241,44 @@ def _kl_basis(n: int) -> _KLBasis:
         # The last right descent i: w_k s_{i+1} is shorter, so in the length
         # order it comes first.
         i = max(j for j, ws in enumerate(rmul[k]) if ws < k)
-        # C_{w'} C_s in the T basis, with w' = w s and C_s = T_s + v^-1.
-        d: _Row = {}
-        for y, p in basis[rmul[k][i]].items():
-            ys = rmul[y][i]
-            # T_y C_s = T_{ys} + v T_y if ys is shorter, else T_{ys} + v^-1 T_y
-            _add_shifted(d, ys, p, 1, 0)
-            _add_shifted(d, y, p, 1, 1 if ys < y else -1)
-        # Strip the constant terms at shorter elements, so the result is
-        # congruent to T_w modulo strictly negative powers of v.  Since
-        # C_y - T_y lies in v^-1 Z[v^-1], subtracting c C_y clears the
-        # constant term at y and changes no other, so the terms to strip are
-        # read off the product once, before any subtraction.
-        for y, c in [(y, p[0]) for y, p in d.items() if y < k and p.get(0)]:
-            for z, q in basis[y].items():
-                _add_shifted(d, z, q, -c, 0)
-        cw: _Row = {}
-        for y, p in d.items():
-            p = {e: coeff for e, coeff in p.items() if coeff}
-            if p:
-                cw[y] = p
+        # C_w is C_{w*}, C_{w^-1} or C_{(w^-1)*} with each T_y relabelled
+        # T_{y*}, T_{y^-1} or T_{(y^-1)*}.  All three have the length of w,
+        # so the first of them in the length order may be built already.
+        twin = min(star[k], inverse[k], star_inverse[k])
+        if twin < k:
+            relabel = (star if twin == star[k]
+                       else inverse if twin == inverse[k] else star_inverse)
+            cw: _Row = {relabel[y]: p for y, p in basis[twin].items()}
+        else:
+            # C_{w'} C_s in the T basis, with w' = w s and C_s = T_s + v^-1.
+            d: _Row = {}
+            for y, p in basis[rmul[k][i]].items():
+                ys = rmul[y][i]
+                # T_y C_s = T_{ys} + v T_y if ys is shorter, else
+                # T_{ys} + v^-1 T_y
+                _add_shifted(d, ys, p, 1, 0)
+                _add_shifted(d, y, p, 1, 1 if ys < y else -1)
+            # Strip the constant terms at shorter elements, so the result is
+            # congruent to T_w modulo strictly negative powers of v.  Since
+            # C_y - T_y lies in v^-1 Z[v^-1], subtracting c C_y clears the
+            # constant term at y and changes no other, so the terms to strip
+            # are read off the product once, before any subtraction.
+            for y, c in [(y, p[0]) for y, p in d.items() if y < k and p.get(0)]:
+                for z, q in basis[y].items():
+                    _add_shifted(d, z, q, -c, 0)
+            cw = {}
+            for y, p in d.items():
+                p = {e: coeff for e, coeff in p.items() if coeff}
+                if p:
+                    cw[y] = p
         _check_kl_element(perms, k, cw)
         basis.append(cw)
         descent.append(i)
         # The coefficient of T_w is 1, just checked, so every v^-1 term is a
         # mu(z, w) with z < k.
         mu.append(tuple((z, p[-1]) for z, p in cw.items() if -1 in p))
-    return _KLBasis(perms, index, rmul, tuple(basis), tuple(descent), tuple(mu))
+    return _KLBasis(perms, index, rmul, star, tuple(basis), tuple(descent),
+                    tuple(mu))
 
 
 def _check_kl_element(perms: Sequence[Permutation], k: int, cw: _Row) -> None:
@@ -285,7 +312,8 @@ def kl_basis_element(
     to T_w modulo strictly negative v-powers).
 
     The first lookup at rank n builds all n! basis elements of S_n: about
-    0.01 s at rank 5 and 0.2-0.35 s at rank 6.  Raising rank_bound past 6
+    0.006 s at rank 5 and 0.1-0.2 s at rank 6, where about a third come
+    from a product and the rest are relabelled.  Raising rank_bound past 6
     makes that first lookup build all 5040 (rank 7) or more."""
     _check_rank(w.n, rank_bound)
     return _kl_element(w)
@@ -315,8 +343,19 @@ def kl_expand(elt: HeckeElement) -> dict[Permutation, LaurentPoly]:
 # mu(z,j) p to each column z with zs < z.  The table replays the KL basis's
 # record: R_y is built along the descent s that C_y was built along, and
 # the mu values are the ones the basis read off each C_w.  A matrix is
-# stored sparsely as one row per x, indexed as in the KL basis: a dict
-# {z: cell} holding only the nonzero entries.
+# stored sparsely as one row per x: a dict {z: cell}, indexed as in the KL
+# basis, holding only the nonzero entries.
+#
+# Row x of R_{y's} reads only row x of R_{y'} and of each R_z, so any set of
+# rows can be built alone.  The table builds only the rows x with x <= x*,
+# in the KL basis's order, where x* = w0 x w0: one row per orbit of x -> x*,
+# 1, 2, 4, 16, 64 and 384 rows at ranks 1-6 against n!.  The rows left out
+# follow from the kept ones.  T_w -> T_{w*} is a ring automorphism that maps
+# C_w to C_{w*} (Kazhdan-Lusztig 1979), so h_{x*,y*,z*} = h_{x,y,z}, that is
+# h_{x*,y,z} = h_{x,y*,z*}: over all y, row x* of column z holds the
+# polynomials that the kept row x holds in column z*.  So the largest degree
+# in column z over all rows is the larger of those in columns z and z* over
+# the kept rows.
 #
 # A cell packs the Laurent polynomial p into one int, P = p(2^B) 2^(B D), so
 # the recursion needs only integer operations: P + Q, m * P, and
@@ -346,7 +385,9 @@ def _structure_matrices(
     kl: _KLBasis, b: int
 ) -> Iterator[tuple[int, list[dict[int, int]]]]:
     """Yield (k, R_{w_k}) with cells packed at width b, in the order they
-    are built.  Each R_y is dropped after the last step that reads it."""
+    are built.  Each R_{w_k} holds the rows x with x <= kl.star[x], in
+    increasing order.  Each R_y is dropped after the last step that reads
+    it."""
     rmul = kl.rmul
     mu = kl.mu
     size = len(rmul)
@@ -367,7 +408,7 @@ def _structure_matrices(
     times_s = [[w[i] for w in rmul] for i in range(len(rmul[0]))]
     r: list[list[dict[int, int]] | None] = [None] * size
     one = 1 << (b * kl.perms[-1].length())
-    r[0] = [{x: one} for x in range(size)]
+    r[0] = [{x: one} for x, xs in enumerate(kl.star) if x <= xs]
     yield 0, r[0]
     for k, i, shorter, minus in steps:
         ts = times_s[i]
@@ -416,6 +457,8 @@ def _a_table(n: int) -> dict[tuple[int, ...], int]:
                 bits = p.bit_length()
                 if bits > best[z]:
                     best[z] = bits
+    # Column z* of the built rows stands in for column z of the others.
+    best = [max(bits, best[zs]) for bits, zs in zip(best, kl.star)]
     d = n * (n - 1) // 2
     return {w.one_line: _top_degree(best[k], b, d) for k, w in enumerate(kl.perms)}
 

@@ -213,6 +213,14 @@ class TestKLBasisAgainstReference:
                    for c in p.values())
         assert all(m >= 0 for pairs in kl.mu for _, m in pairs)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_star_is_conjugation_by_longest(self, n):
+        kl = _kl_basis(n)
+        w0 = Permutation.longest(n)
+        assert [kl.perms[k] for k in kl.star] == [
+            w0.compose(w).compose(w0) for w in kl.perms
+        ]
+
     def test_index_follows_length_order(self):
         kl = _kl_basis(4)
         keys = [(w.length(), w.one_line) for w in kl.perms]
@@ -322,6 +330,36 @@ class TestAFunction:
             assert a_function_definitional(
                 sigma, rank_bound=6
             ) == a_value_of_permutation(sigma), ol
+
+    @pytest.mark.rank6
+    def test_rank6_peak_memory(self):
+        """The rank-6 oracle peaks below 100 MB of resident memory.
+
+        A fresh child runs a_function_definitional over all of S_6 and
+        prints its own peak, VmHWM from /proc/self/status; where that file
+        does not exist the test is skipped.  ru_maxrss would not do: Linux
+        copies the parent's peak into a spawned child's ru_maxrss, so the
+        child would report at least this test process's peak.  Building one
+        table row per orbit of x -> w0 x w0 brought the child's VmHWM from
+        about 141 MB to about 79 MB; 100 MB fails a return to building
+        every row, with room for interpreter and allocator differences."""
+        if not Path("/proc/self/status").exists():
+            pytest.skip("no /proc/self/status to read VmHWM from")
+        code = (
+            "from itertools import permutations\n"
+            "import gkdim\n"
+            "for ol in permutations(range(1, 7)):\n"
+            "    gkdim.a_function_definitional(gkdim.Permutation(ol), rank_bound=6)\n"
+            "with open('/proc/self/status') as f:\n"
+            "    print(next(l.split()[1] for l in f if l.startswith('VmHWM:')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(gkdim.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        peak_mb = int(out) / 1024
+        assert peak_mb < 100, f"rank-6 oracle peaked at {peak_mb:.1f} MB"
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_invariant_under_inverse(self, n):
@@ -509,13 +547,24 @@ class TestTableAgainstReference:
     def test_every_cell_matches_reference(self, n):
         kl = _kl_basis(n)
         b, d = _cell_width(kl), n * (n - 1) // 2
+        rows = [x for x in range(len(kl.perms)) if x <= kl.star[x]]
         got = _structure_matrices(kl, b)
         for (k, mat), (k_ref, ref) in zip(got, reference_matrices(n), strict=True):
             assert k == k_ref
             decoded = [
                 {z: unpack(cell, b, d) for z, cell in row.items()} for row in mat
             ]
-            assert decoded == ref, kl.perms[k].one_line
+            assert decoded == [ref[x] for x in rows], kl.perms[k].one_line
+
+    @pytest.mark.parametrize(
+        "n, rows", [(1, 1), (2, 2), (3, 4), (4, 16), (5, 64), (6, 384)]
+    )
+    def test_builds_one_row_per_star_orbit(self, n, rows):
+        # (n! + number of x with x* = x) / 2 rows; every R_y has the rows of
+        # R_e, the first matrix built.
+        kl = _kl_basis(n)
+        _, identity = next(_structure_matrices(kl, _cell_width(kl)))
+        assert len(identity) == rows
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_coefficient_bound_covers_reference(self, n):
@@ -532,6 +581,23 @@ class TestTableAgainstReference:
             for poly in row.values()
             for c in poly.values()
         )
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_structure_constants_commute_with_star(self, n):
+        # h_{x*,y,z} = h_{x,y*,z*}, which lets the table build only the rows
+        # x <= x* and read the others off column z*: row x* of R_y with its
+        # columns starred is row x of R_{y*}.
+        star = _kl_basis(n).star
+        waiting = {}
+        for y, mat in reference_matrices(n):
+            starred = [{star[z]: p for z, p in mat[xs].items()} for xs in star]
+            if star[y] == y:
+                assert starred == mat
+            elif star[y] > y:
+                waiting[star[y]] = starred
+            else:
+                assert waiting.pop(y) == mat
+        assert not waiting
 
     @pytest.mark.parametrize("n", (4, 5))
     def test_cell_width_is_tight(self, n):
