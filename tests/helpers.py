@@ -31,6 +31,41 @@ def check_value_error(make, message: str) -> None:
     assert str(info.value) == message
 
 
+def reference_schensted(seq):
+    """(P rows, Q rows, added boxes) by plain Schensted row insertion.
+
+    Each row is scanned left to right for the first entry strictly larger
+    than the one being inserted, and both tableaux are rebuilt as tuples
+    after every entry.
+    """
+    p, q, boxes = (), (), []
+    for k, x in enumerate(seq, start=1):
+        rows = [list(r) for r in p]
+        i = 0
+        while True:
+            if i == len(rows):
+                rows.append([x])
+                box = (i + 1, 1)
+                break
+            row = rows[i]
+            bigger = [j for j, e in enumerate(row) if e > x]
+            if not bigger:
+                row.append(x)
+                box = (i + 1, len(row))
+                break
+            x, row[bigger[0]] = row[bigger[0]], x
+            i += 1
+        p = tuple(tuple(r) for r in rows)
+        q_rows = [list(r) for r in q]
+        if box[0] > len(q_rows):
+            q_rows.append([k])
+        else:
+            q_rows[box[0] - 1].append(k)
+        q = tuple(tuple(r) for r in q_rows)
+        boxes.append(box)
+    return p, q, boxes
+
+
 def signature_from_balls(balls: str) -> BallSignature:
     """Run-length signature of a ball line like 'wwbwb'."""
     runs = [0]

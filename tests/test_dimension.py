@@ -1,6 +1,7 @@
 """Congruence classes, tableau collections and the GK dimension report."""
 
 import json
+import random
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -17,12 +18,14 @@ from gkdim import (
     a_value_of_permutation,
     congruence_decomposition,
     gk_dimension,
+    insertion_tableau,
     minimal_antidominant_permutation,
     parse_weight,
     tableau_collection,
 )
+from gkdim import tableaux
 
-from helpers import check_value_type
+from helpers import check_value_type, reference_schensted
 
 INTRO = "3,3.5,2,1.5,-1,5.5,-1,0,1.1"
 
@@ -264,3 +267,114 @@ class TestShapeEquivalenceOracle:
         w = Weight(entries)
         sigma = minimal_antidominant_permutation(w)
         assert a_value(w) == a_value_of_permutation(sigma)
+
+
+def reference_gk_dimension(w: Weight) -> GKReport:
+    """The report with each class inserted as its `Fraction`s, as
+    `gk_dimension` computed it before it inserted numerators."""
+    classes = congruence_decomposition(w)
+    tabs = tuple(insertion_tableau(c.entries) for c in classes)
+    total = sum(t.a_value() for t in tabs)
+    nu0 = w.n * (w.n - 1) // 2
+    return GKReport(w.n, nu0, total, nu0 - total, len(classes) == 1,
+                    tuple(classes), tabs)
+
+
+# Up to 40 entries with few integer parts, so ties are heavy, offset by
+# halves, thirds, sixths and decimals, so one weight mixes denominators.
+keyed_weights = st.lists(
+    st.builds(lambda k, c: k + c, st.integers(-6, 6),
+              st.sampled_from([F(0), F(1, 2), F(-1, 2), F(1, 3), F(2, 3),
+                               F(1, 6), F(-5, 6), F(1, 10), F(3, 10)])),
+    min_size=1,
+    max_size=40,
+).map(Weight)
+
+
+def _two_class_weight(n: int) -> Weight:
+    rng = random.Random(n)
+    return Weight(rng.randint(-125, 125) + rng.choice([F(0), F(1, 3)])
+                  for _ in range(n))
+
+
+WORST_CASES = {
+    "decreasing-300": Weight(range(300, 0, -1)),
+    "decreasing-300-halves": Weight(
+        F(2 * i + 1, 2) for i in range(300, 0, -1)
+    ),
+    # 150 decreasing entries, then 150 larger increasing ones.
+    "hook-150": Weight([*range(150, 0, -1), *range(151, 301)]),
+    "two-class-1000": _two_class_weight(1000),
+}
+
+
+def check_against_reference(w: Weight) -> None:
+    """`gk_dimension` equals the `Fraction`-inserting path and plain
+    Schensted, and every tableau entry is one of the weight's own
+    `Fraction`s."""
+    report = gk_dimension(w)
+    reference = reference_gk_dimension(w)
+    assert report == reference
+    assert report.to_json() == reference.to_json()
+    for c, t in zip(report.classes, report.tableaux):
+        assert t.rows == reference_schensted(c.entries)[0]
+        own = {id(e) for e in c.entries}
+        for e in (e for r in t.rows for e in r):
+            assert type(e) is F and id(e) in own, e
+
+
+class TestKeyedInsertion:
+    """Each class is inserted as its numerators and relabelled by its own
+    entries; the `Fraction`-inserting path is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(keyed_weights)
+    def test_matches_fraction_insertion(self, w):
+        check_against_reference(w)
+
+    @given(mixed_weights)
+    def test_matches_fraction_insertion_mixed(self, w):
+        check_against_reference(w)
+
+    @pytest.mark.parametrize("text", [INTRO, "3,2,1", "1/2,5/2,-3/2,1/2",
+                                      "0.1,1.1,-0.9,0.1,2/3,-1/3"])
+    def test_examples(self, text):
+        check_against_reference(parse_weight(text))
+
+    @pytest.mark.parametrize("name", list(WORST_CASES))
+    def test_worst_cases(self, name):
+        check_against_reference(WORST_CASES[name])
+
+    def test_worst_case_values(self):
+        assert gk_dimension(WORST_CASES["decreasing-300"]).gk_dimension == 0
+        hook = gk_dimension(WORST_CASES["hook-150"])
+        assert [len(r) for r in hook.tableaux[0].rows] == [151] + [1] * 149
+
+    @pytest.mark.parametrize("text", ["5,3,4,1,1,2", "9/2,1/2,3/2,1/2",
+                                      INTRO])
+    def test_compares_no_fraction(self, monkeypatch, text):
+        """Every class has one denominator, so no `Fraction` is compared."""
+        w = parse_weight(text)
+        expected = reference_gk_dimension(w)
+
+        def refuse(self, other):
+            raise AssertionError("Fraction comparison")
+
+        for name in ("__lt__", "__gt__", "__le__", "__ge__"):
+            monkeypatch.setattr(F, name, refuse)
+        report = gk_dimension(w)
+        monkeypatch.undo()
+        assert report == expected
+
+    @pytest.mark.parametrize("text", ["5,3,4,1,1,2", INTRO])
+    def test_validates_once_per_class(self, monkeypatch, text):
+        calls = []
+        validate = tableaux._validate
+
+        def counting(rows):
+            calls.append(rows)
+            validate(rows)
+
+        monkeypatch.setattr(tableaux, "_validate", counting)
+        report = gk_dimension(parse_weight(text))
+        assert len(calls) == len(report.classes)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkdim import Shape, Tableau, insertion_tableau, rs_pair
-from helpers import check_value_error, check_value_type
+from helpers import check_value_error, check_value_type, reference_schensted
 
 entry_lists = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=6),
@@ -98,41 +98,6 @@ candidate_rows = st.one_of(
 partitions = st.lists(st.integers(1, 12), max_size=12).map(
     lambda parts: sorted(parts, reverse=True)
 )
-
-
-def reference_schensted(seq):
-    """(P rows, Q rows, added boxes) by plain Schensted row insertion.
-
-    Each row is scanned left to right for the first entry strictly larger
-    than the one being inserted, and both tableaux are rebuilt as tuples
-    after every entry.
-    """
-    p, q, boxes = (), (), []
-    for k, x in enumerate(seq, start=1):
-        rows = [list(r) for r in p]
-        i = 0
-        while True:
-            if i == len(rows):
-                rows.append([x])
-                box = (i + 1, 1)
-                break
-            row = rows[i]
-            bigger = [j for j, e in enumerate(row) if e > x]
-            if not bigger:
-                row.append(x)
-                box = (i + 1, len(row))
-                break
-            x, row[bigger[0]] = row[bigger[0]], x
-            i += 1
-        p = tuple(tuple(r) for r in rows)
-        q_rows = [list(r) for r in q]
-        if box[0] > len(q_rows):
-            q_rows.append([k])
-        else:
-            q_rows[box[0] - 1].append(k)
-        q = tuple(tuple(r) for r in q_rows)
-        boxes.append(box)
-    return p, q, boxes
 
 
 class TestShape:
