@@ -36,8 +36,10 @@ from itertools import permutations as _all_one_lines
 
 # `dimension` and `hermitian` are imported in `_setup`, by the commands that
 # use them, so a cold verify-oracle compiles neither.  `hecke` loads here
-# because perfbench's tracer wraps only modules loaded when it installs.
-from . import hecke
+# because perfbench's tracer wraps only modules loaded when it installs;
+# the import statement, unlike `from . import hecke`, does not go through
+# the package's `__getattr__`, so `-X importtime` times hecke on its own.
+import gkdim.hecke as hecke
 from .errors import DomainError, InvariantError, ParseError
 # Tests patch the names from these two on this module.
 from .permutations import Permutation, a_value_of_permutation

@@ -15,9 +15,9 @@ bound (default 5).
 The KL basis is built once per rank, with S_n indexed by position in the
 length order: C_w = C_{w'} C_s - (constant terms at shorter y) along the
 last right descent s of w, each C_w a dict {y: {degree: coeff}} of its
-nonzero T_y coefficients.  Two symmetries save most of that work and half
-of the table's.  The diagram automorphism T_w -> T_{w*}, w* = w0 w w0, is
-a ring automorphism and T_w -> T_{w^-1} a ring anti-automorphism; both
+nonzero T_y coefficients.  Two symmetries save most of that work and about
+70% of the table's.  The diagram automorphism T_w -> T_{w*}, w* = w0 w w0,
+is a ring automorphism and T_w -> T_{w^-1} a ring anti-automorphism; both
 commute with the bar involution, so they map C_w to C_{w*} and to
 C_{w^-1} (Kazhdan-Lusztig, "Representations of Coxeter groups and Hecke
 algebras", 1979).  So when w*, w^-1 or (w^-1)* comes earlier in the length
@@ -29,20 +29,22 @@ Each R_y = [h_{x,y,z}]_{x,z} is built along the descent recorded for y, by
 right-multiplying a shorter R_{y'} by a generator C_s in place, row by
 row, from the KL basis's table of w s and its mu values; no matrix of
 C_s is formed and no general matrix product runs.  Row x of every R_y
-depends only on row x of shorter ones, and h_{x*,y,z} = h_{x,y*,z*}, so
-only the rows x that come no later than x* are built, one per orbit of
-x -> x*, and column z* stands in for the rows left out of column z.  Each
-matrix cell is one int, its Laurent polynomial p packed as p(2^B) 2^(B D),
-with D = l(w0) and B bounded from the KL basis by positivity, so the
-largest degree is read off the bit length.  Each R_y is folded into the
-per-column maximum degree as soon as it is built and dropped after the
-last step that reads it.  Nothing here needs more than the standard
-library.
+depends only on row x of shorter ones.  The two symmetries give
+h_{x*,y*,z*} = h_{x,y,z} and h_{y^-1,x^-1,z^-1} = h_{x,y,z}, so R_y is
+built only in the rows x that come no later than x* and have l(x) >= l(y),
+about 30% of all pairs at ranks 5 and 6, and columns z*, z^-1 and (z^-1)*
+stand in for the pairs left out of column z.  Each matrix cell is one int,
+its Laurent polynomial p packed as p(2^B) 2^(B D), with D = l(w0) and B
+bounded from the KL basis by positivity, so the largest degree is read off
+the bit length, which is folded into the per-column maximum as each row is
+built.  Each R_y is dropped after the last step that reads it.  Nothing
+here needs more than the standard library.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from functools import lru_cache, wraps
 from itertools import permutations
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -188,6 +190,7 @@ class _KLBasis(NamedTuple):
     index: dict[tuple[int, ...], int]  # one-line notation -> position
     rmul: tuple[tuple[int, ...], ...]  # rmul[k][i]: position of w_k s_{i+1}
     star: tuple[int, ...]  # star[k]: position of w0 w_k w0
+    inverse: tuple[int, ...]  # inverse[k]: position of w_k^-1
     basis: tuple[_Row, ...]  # basis[k]: C_{w_k} in the T basis
     # descent[k]: the last right descent i of w_k (w_k s_{i+1} is shorter),
     # 0-based, along which C_{w_k} is built; -1 for the identity
@@ -277,8 +280,8 @@ def _kl_basis(n: int) -> _KLBasis:
         # The coefficient of T_w is 1, just checked, so every v^-1 term is a
         # mu(z, w) with z < k.
         mu.append(tuple((z, p[-1]) for z, p in cw.items() if -1 in p))
-    return _KLBasis(perms, index, rmul, star, tuple(basis), tuple(descent),
-                    tuple(mu))
+    return _KLBasis(perms, index, rmul, star, inverse, tuple(basis),
+                    tuple(descent), tuple(mu))
 
 
 def _check_kl_element(perms: Sequence[Permutation], k: int, cw: _Row) -> None:
@@ -347,15 +350,24 @@ def kl_expand(elt: HeckeElement) -> dict[Permutation, LaurentPoly]:
 # basis, holding only the nonzero entries.
 #
 # Row x of R_{y's} reads only row x of R_{y'} and of each R_z, so any set of
-# rows can be built alone.  The table builds only the rows x with x <= x*,
+# rows can be built alone.  The table keeps only the rows x with x <= x*,
 # in the KL basis's order, where x* = w0 x w0: one row per orbit of x -> x*,
-# 1, 2, 4, 16, 64 and 384 rows at ranks 1-6 against n!.  The rows left out
-# follow from the kept ones.  T_w -> T_{w*} is a ring automorphism that maps
-# C_w to C_{w*} (Kazhdan-Lusztig 1979), so h_{x*,y*,z*} = h_{x,y,z}, that is
-# h_{x*,y,z} = h_{x,y*,z*}: over all y, row x* of column z holds the
-# polynomials that the kept row x holds in column z*.  So the largest degree
-# in column z over all rows is the larger of those in columns z and z* over
-# the kept rows.
+# 1, 2, 4, 16, 64 and 384 rows at ranks 1-6 against n!.  Of those, R_y is
+# built only in the rows with l(x) >= l(y): a suffix of the kept rows, since
+# they are in the length order.  The pairs left out follow from the built
+# ones by two symmetries (Kazhdan-Lusztig 1979), both commuting with the bar
+# involution:
+# - T_w -> T_{w*} is a ring automorphism mapping C_w to C_{w*}, so
+#   h_{x*,y*,z*} = h_{x,y,z}.  It turns a row x > x* into the kept row x*.
+# - T_w -> T_{w^-1} is a ring anti-automorphism mapping C_w to C_{w^-1};
+#   applied to C_x C_y = sum_z h_{x,y,z} C_z it gives
+#   h_{y^-1,x^-1,z^-1} = h_{x,y,z}.  It turns a pair with l(y) > l(x) into
+#   one with l(y) < l(x), since inversion keeps lengths.
+# So every pair (x, y) is a built pair or the image of one under x -> x*,
+# (x, y) -> (y^-1, x^-1) or both, and h_{x,y,z} is a built h at z, z*, z^-1
+# or (z^-1)*.  Conversely each built h in those columns is an h_{x',y',z}.
+# So the largest degree in column z over all pairs is the largest over the
+# built pairs in columns z, z*, z^-1 and (z^-1)*.
 #
 # A cell packs the Laurent polynomial p into one int, P = p(2^B) 2^(B D), so
 # the recursion needs only integer operations: P + Q, m * P, and
@@ -382,12 +394,13 @@ def _cell_width(kl: _KLBasis) -> int:
 
 
 def _structure_matrices(
-    kl: _KLBasis, b: int
+    kl: _KLBasis, b: int, best: list[int]
 ) -> Iterator[tuple[int, list[dict[int, int]]]]:
     """Yield (k, R_{w_k}) with cells packed at width b, in the order they
-    are built.  Each R_{w_k} holds the rows x with x <= kl.star[x], in
-    increasing order.  Each R_y is dropped after the last step that reads
-    it."""
+    are built, and raise best[z] to the bit length of each cell built in
+    column z.  Each R_{w_k} holds the rows x with x <= kl.star[x] and
+    l(x) >= l(w_k), in increasing order.  Each R_y is dropped after the
+    last step that reads it."""
     rmul = kl.rmul
     mu = kl.mu
     size = len(rmul)
@@ -396,25 +409,37 @@ def _structure_matrices(
     # reads R_y, so that it can be dropped right after.
     steps = []
     last_read: dict[int, int] = {}
+    length = [0] * size
     for k in range(1, size):
         i = kl.descent[k]
         shorter = rmul[k][i]
+        length[k] = length[shorter] + 1
         minus = [(z, m) for z, m in mu[shorter] if rmul[z][i] < z]
         steps.append((k, i, shorter, minus))
         last_read[shorter] = k
         for z, _ in minus:
             last_read[z] = k
+    kept = [x for x, xs in enumerate(kl.star) if x <= xs]
+    # R_{w_k} holds the kept rows from first[k] on: the kept rows are in the
+    # length order, so those with l(x) >= l(w_k) are a suffix.
+    kept_length = [length[x] for x in kept]
+    first = [bisect_left(kept_length, t) for t in length]
     # times_s[i][j]: position of w_j s_{i+1}
     times_s = [[w[i] for w in rmul] for i in range(len(rmul[0]))]
     r: list[list[dict[int, int]] | None] = [None] * size
-    one = 1 << (b * kl.perms[-1].length())
-    r[0] = [{x: one} for x, xs in enumerate(kl.star) if x <= xs]
+    one = 1 << (b * length[-1])
+    for x in kept:
+        best[x] = one.bit_length()
+    r[0] = [{x: one} for x in kept]
     yield 0, r[0]
     for k, i, shorter, minus in steps:
         ts = times_s[i]
-        subtract = [(r[z], m) for z, m in minus]
+        lo = first[k]
+        # R_shorter and every R_z hold the rows of R_{w_k} and more, since
+        # l(z) < l(shorter) < l(w_k).
+        subtract = [(r[z][lo - first[z]:], m) for z, m in minus]
         mat = []
-        for x, row in enumerate(r[shorter]):
+        for x, row in enumerate(r[shorter][lo - first[shorter]:]):
             acc: dict[int, int] = {}
             get = acc.get
             for j, p in row.items():
@@ -429,7 +454,14 @@ def _structure_matrices(
             for c, m in subtract:
                 for z, p in c[x].items():
                     acc[z] = get(z, 0) - m * p
-            mat.append({z: p for z, p in acc.items() if p})
+            built = {}
+            for z, p in acc.items():
+                if p:
+                    built[z] = p
+                    bits = p.bit_length()
+                    if bits > best[z]:
+                        best[z] = bits
+            mat.append(built)
         if k in last_read:
             r[k] = mat
         for y in (shorter, *(z for z, _ in minus)):
@@ -451,14 +483,13 @@ def _a_table(n: int) -> dict[tuple[int, ...], int]:
     # A larger largest degree means a longer packed cell, so keeping the
     # longest bit length per column z keeps its largest degree.
     best = [0] * len(kl.perms)
-    for _, mat in _structure_matrices(kl, b):
-        for row in mat:
-            for z, p in row.items():
-                bits = p.bit_length()
-                if bits > best[z]:
-                    best[z] = bits
-    # Column z* of the built rows stands in for column z of the others.
-    best = [max(bits, best[zs]) for bits, zs in zip(best, kl.star)]
+    for _ in _structure_matrices(kl, b, best):
+        pass
+    # Columns z*, z^-1 and (z^-1)* of the built pairs stand in for column z
+    # of the others.
+    star, inverse = kl.star, kl.inverse
+    best = [max(best[z], best[star[z]], best[y], best[star[y]])
+            for z, y in enumerate(inverse)]
     d = n * (n - 1) // 2
     return {w.one_line: _top_degree(best[k], b, d) for k, w in enumerate(kl.perms)}
 

@@ -89,7 +89,7 @@ class Tableau(NamedTuple("Tableau", [("rows", tuple[tuple[Entry, ...], ...])])):
 
     def __new__(cls, rows: Iterable[Sequence[Entry]] = ()):
         rows = tuple(map(tuple, rows))
-        _validate(rows)
+        _validate(_comparison_rows(rows))
         return tuple.__new__(cls, (rows,))
 
     @property
@@ -163,12 +163,26 @@ def _row_insert(rows: list[list[Entry]], x: Entry) -> tuple[int, int]:
     return len(rows), 1
 
 
-def _validate(rows: Sequence[Sequence[Entry]]) -> None:
-    # A Fraction is in lowest terms with a positive denominator, so entries
-    # sharing one denominator are ordered by their numerators, which compare
-    # as ints instead of through Fraction's Python-level comparison.
+def _comparison_rows(
+    rows: Sequence[Sequence[Entry]],
+) -> Sequence[Sequence[Entry]]:
+    """Rows ordered as `rows` are, as ints where that is cheap to see.
+
+    A Fraction is in lowest terms with a positive denominator, so entries
+    sharing one denominator are ordered by their numerators, which compare
+    as ints instead of through Fraction's Python-level comparison.  Rows of
+    ints are their own numerators and are returned as they are.  Only rows
+    that start with an int are tested for that, so rows of Fractions pay
+    for one type check."""
+    if rows and rows[0] and type(rows[0][0]) is int and all(
+            type(e) is int for r in rows for e in r):
+        return rows
     if len({e.denominator for r in rows for e in r}) == 1:
-        rows = [[e.numerator for e in r] for r in rows]
+        return [[e.numerator for e in r] for r in rows]
+    return rows
+
+
+def _validate(rows: Sequence[Sequence[Entry]]) -> None:
     for i, r in enumerate(rows):
         if not r:
             raise ValueError("empty tableau row")

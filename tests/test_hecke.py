@@ -221,6 +221,13 @@ class TestKLBasisAgainstReference:
             w0.compose(w).compose(w0) for w in kl.perms
         ]
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_inverse_is_the_group_inverse(self, n):
+        kl = _kl_basis(n)
+        assert [kl.perms[k] for k in kl.inverse] == [
+            w.inverse() for w in kl.perms
+        ]
+
     def test_index_follows_length_order(self):
         kl = _kl_basis(4)
         keys = [(w.length(), w.one_line) for w in kl.perms]
@@ -323,8 +330,10 @@ class TestAFunction:
         for shape, values in by_shape.items():
             assert len(values) == 1, (shape, values)
 
-    @pytest.mark.rank6
     def test_rank6_matches_tableau_rule(self):
+        # About 1 s.  Of the tests, only this one fails when _a_table drops
+        # its z* or its (z^-1)* stand-in column: below rank 6 the other
+        # stand-ins make up for either.
         for ol in permutations(range(1, 7)):
             sigma = Permutation(ol)
             assert a_function_definitional(
@@ -341,7 +350,8 @@ class TestAFunction:
         copies the parent's peak into a spawned child's ru_maxrss, so the
         child would report at least this test process's peak.  Building one
         table row per orbit of x -> w0 x w0 brought the child's VmHWM from
-        about 141 MB to about 79 MB; 100 MB fails a return to building
+        about 141 MB to about 79 MB, and building only the pairs with
+        l(y) <= l(x) to about 63 MB; 100 MB fails a return to building
         every row, with room for interpreter and allocator differences."""
         if not Path("/proc/self/status").exists():
             pytest.skip("no /proc/self/status to read VmHWM from")
@@ -475,6 +485,19 @@ def reference_largest_coefficient(n):
     )
 
 
+@lru_cache(maxsize=None)
+def lengths(n):
+    return [w.length() for w in _kl_basis(n).perms]
+
+
+def built_rows(kl, k):
+    """The rows x of R_{w_k} that the table builds: x <= x* and
+    l(x) >= l(w_k), in increasing order."""
+    length = lengths(kl.perms[0].n)
+    return [x for x, xs in enumerate(kl.star)
+            if x <= xs and length[x] >= length[k]]
+
+
 def pack(poly, b, d):
     """The packed cell p(2^b) 2^(b d) of p = {degree: coeff}."""
     return sum(c << (b * (e + d)) for e, c in poly.items())
@@ -545,26 +568,55 @@ class TestTableAgainstReference:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_cell_matches_reference(self, n):
+        # R_{w_k} holds the reference rows x with x <= x* and
+        # l(x) >= l(w_k), and best the longest cell of each column.
         kl = _kl_basis(n)
         b, d = _cell_width(kl), n * (n - 1) // 2
-        rows = [x for x in range(len(kl.perms)) if x <= kl.star[x]]
-        got = _structure_matrices(kl, b)
+        best = [0] * len(kl.perms)
+        longest = [0] * len(kl.perms)
+        got = _structure_matrices(kl, b, best)
         for (k, mat), (k_ref, ref) in zip(got, reference_matrices(n), strict=True):
             assert k == k_ref
+            rows = built_rows(kl, k)
             decoded = [
                 {z: unpack(cell, b, d) for z, cell in row.items()} for row in mat
             ]
             assert decoded == [ref[x] for x in rows], kl.perms[k].one_line
+            for row in mat:
+                for z, cell in row.items():
+                    longest[z] = max(longest[z], cell.bit_length())
+        assert best == longest
 
     @pytest.mark.parametrize(
         "n, rows", [(1, 1), (2, 2), (3, 4), (4, 16), (5, 64), (6, 384)]
     )
     def test_builds_one_row_per_star_orbit(self, n, rows):
-        # (n! + number of x with x* = x) / 2 rows; every R_y has the rows of
-        # R_e, the first matrix built.
+        # (n! + number of x with x* = x) / 2 rows in R_e, the first matrix
+        # built; every later R_y holds a suffix of them.
         kl = _kl_basis(n)
-        _, identity = next(_structure_matrices(kl, _cell_width(kl)))
+        _, identity = next(
+            _structure_matrices(kl, _cell_width(kl), [0] * len(kl.perms)))
         assert len(identity) == rows
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_built_pairs_and_their_images_cover_every_pair(self, n):
+        # The pairs (x, y) built, with their images (x*, y*) and
+        # (y^-1, x^-1) and the image of each under the other, are all of
+        # S_n x S_n, so every h_{x,y,z} is a built one, read at z, z*,
+        # z^-1 or (z^-1)*.
+        kl = _kl_basis(n)
+        star, inverse = kl.star, kl.inverse
+        size = len(kl.perms)
+        b = _cell_width(kl)
+        covered = bytearray(size * size)
+        for y, mat in _structure_matrices(kl, b, [0] * size):
+            rows = built_rows(kl, y)
+            assert len(mat) == len(rows)
+            for x in rows:
+                for u, v in ((x, y), (inverse[y], inverse[x])):
+                    covered[u * size + v] = 1
+                    covered[star[u] * size + star[v]] = 1
+        assert all(covered)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_coefficient_bound_covers_reference(self, n):
@@ -598,6 +650,18 @@ class TestTableAgainstReference:
             else:
                 assert waiting.pop(y) == mat
         assert not waiting
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_structure_constants_commute_with_inverse(self, n):
+        # h_{y^-1,x^-1,z^-1} = h_{x,y,z}, which lets the table build only
+        # the pairs with l(y) <= l(x) and read the others off column z^-1:
+        # row x of R_y with its columns inverted is row y^-1 of R_{x^-1}.
+        inverse = _kl_basis(n).inverse
+        table = dict(reference_matrices(n))
+        for y, mat in table.items():
+            for x, row in enumerate(mat):
+                inverted = {inverse[z]: p for z, p in row.items()}
+                assert inverted == table[inverse[x]][inverse[y]], (x, y)
 
     @pytest.mark.parametrize("n", (4, 5))
     def test_cell_width_is_tight(self, n):

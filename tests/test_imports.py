@@ -123,6 +123,20 @@ def test_command_loads_only_its_modules(capsys, monkeypatch, argv, stdin,
     assert out == capsys.readouterr().out
 
 
+def test_importtime_times_hecke_on_its_own_line():
+    """`cli` imports `hecke` with an import statement, not through the
+    package's `__getattr__`, whose `importlib.import_module` call
+    `-X importtime` does not time: the profile books hecke's own time on a
+    `gkdim.hecke` line, not under `gkdim.cli`."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    err = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import gkdim.cli"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stderr
+    timed = [line.rsplit("|", 1)[-1].strip() for line in err.splitlines()]
+    assert "gkdim.hecke" in timed and "gkdim.cli" in timed
+
+
 def test_cli_import_loads_every_library_module():
     """`import gkdim.cli` and the commands that defer a module load, between
     them, every library module in the package, so COMMANDS names them all."""

@@ -2,12 +2,14 @@
 
 from fractions import Fraction as F
 from itertools import permutations
+from operator import ge, gt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkdim import Shape, Tableau, insertion_tableau, rs_pair
+from gkdim.tableaux import _validate
 from helpers import check_value_error, check_value_type, reference_schensted
 
 entry_lists = st.lists(
@@ -40,6 +42,33 @@ def reference_validate(rows):
             return "row lengths must weakly decrease"
         if any(rows[i][j] >= rows[i + 1][j] for j in range(len(rows[i + 1]))):
             return f"column not strictly increasing at row {i + 2}"
+    return None
+
+
+def previous_validate(rows):
+    """The checks as the constructor made them while every row, ints too,
+    went through the one-denominator prelude: the reference for the
+    messages and their order."""
+    if len({e.denominator for r in rows for e in r}) == 1:
+        rows = [[e.numerator for e in r] for r in rows]
+    for i, r in enumerate(rows):
+        if not r:
+            raise ValueError("empty tableau row")
+        if any(map(gt, r, r[1:])):
+            raise ValueError(f"row {i + 1} is not weakly increasing")
+    for i in range(len(rows) - 1):
+        if len(rows[i]) < len(rows[i + 1]):
+            raise ValueError("row lengths must weakly decrease")
+        if any(map(ge, rows[i], rows[i + 1])):
+            raise ValueError(f"column not strictly increasing at row {i + 2}")
+
+
+def validation_message(check, rows):
+    """The text of the ValueError check(rows) raises, or None."""
+    try:
+        check(rows)
+    except ValueError as error:
+        return str(error)
     return None
 
 
@@ -92,6 +121,17 @@ candidate_rows = st.one_of(
     _two_column_rows,
     st.tuples(
         _two_column_rows, st.integers(0, 23), st.integers(0, 1), _tall_entries,
+    ).map(_overwrite),
+)
+
+# Int rows, as `gk_dimension` and the oracle insert them: arbitrary, or an
+# insertion tableau with one entry overwritten.
+int_candidate_rows = st.one_of(
+    st.lists(st.lists(st.integers(-3, 3), max_size=4), max_size=4),
+    st.tuples(
+        st.lists(st.integers(-5, 5), max_size=10)
+        .map(lambda seq: insertion_tableau(seq).rows),
+        st.integers(0, 9), st.integers(0, 9), st.integers(-5, 5),
     ).map(_overwrite),
 )
 
@@ -200,6 +240,29 @@ class TestValidation:
             with pytest.raises(ValueError) as info:
                 Tableau(rows)
             assert str(info.value) == expected
+
+
+    @pytest.mark.parametrize("rows", [
+        [], [[1, 1, 4], [2, 5], [3]], [[F(1, 2), F(3, 2)], [F(5, 2)]],
+        [[F(-1), F(-1), 0], [2], [3]], [[1, F(3, 2)], [F(5, 2)]],
+        [[1], []], [[2, 1]], [[1, 2], [1, 3]], [[1], [2, 3]],
+        [[F(3, 2), F(1, 2)]], [[F(1, 2)], [F(1, 2)]], [[F(1, 2)], []],
+        [[1, F(1, 2)]], [[F(1, 3)], [F(1, 2), 1]], [[F(2), 1]],
+    ])
+    def test_examples_against_previous_checks(self, rows):
+        assert validation_message(Tableau, rows) == validation_message(
+            previous_validate, rows)
+
+    @settings(max_examples=300)
+    @given(st.one_of(candidate_rows, int_candidate_rows))
+    def test_against_previous_checks(self, rows):
+        """Int rows skip the one-denominator prelude, in the constructor and
+        in `_validate`, which `gk_dimension` calls on its int rows; every
+        row keeps its checks, their order and their messages."""
+        expected = validation_message(previous_validate, rows)
+        assert validation_message(Tableau, rows) == expected
+        if all(type(e) is int for r in rows for e in r):
+            assert validation_message(_validate, rows) == expected
 
 
 class TestRSPair:
