@@ -21,14 +21,12 @@ _PUBLIC = {
     "errors": """DomainError InvariantError LengthMismatchError
         NotIntegralError NotPQDominantError OutsideUnitaryIntervalError
         ParseError RankBoundError ZRangeBoundError""",
-    "hecke": """DEFAULT_RANK_BOUND HeckeElement a_function_definitional
-        bar_involution kl_basis_element kl_expand multiply""",
+    "hecke": "DEFAULT_RANK_BOUND a_function_definitional kl_basis_element",
     "hermitian": """Z_RANGE_BOUND AlgebraWord BallSignature HermitianReport
         NormalForm UnitaryInterval algebra_normal_form associated_variety
         ball_model_m ball_model_m_by_simulation ball_transform_equivalent
         gk_pq gkdim_series second_column_by_deletion unitary_gkdim
         unitary_interval xi_signature""",
-    "laurent": "LaurentPoly",
     "permutations": """Permutation a_value_of_permutation
         minimal_antidominant_permutation parabolic_longest rs_of_permutation""",
     "tableaux": "Shape Tableau insertion_tableau rs_pair",

@@ -33,17 +33,22 @@ import math
 import os
 import sys
 from itertools import permutations as _all_one_lines
+from typing import TYPE_CHECKING
 
 # `dimension` and `hermitian` are imported in `_setup`, by the commands that
-# use them, so a cold verify-oracle compiles neither.  `hecke` loads here
-# because perfbench's tracer wraps only modules loaded when it installs;
-# the import statement, unlike `from . import hecke`, does not go through
-# the package's `__getattr__`, so `-X importtime` times hecke on its own.
+# use them, and `weights` where options and weights are parsed, so a cold
+# verify-oracle compiles none of them and loads no `fractions` or `decimal`.
+# `hecke` loads here because perfbench's tracer wraps only modules loaded
+# when it installs; the import statement, unlike `from . import hecke`, does
+# not go through the package's `__getattr__`, so `-X importtime` times hecke
+# on its own.
 import gkdim.hecke as hecke
 from .errors import DomainError, InvariantError, ParseError
-# Tests patch the names from these two on this module.
+# Tests patch these two names on this module.
 from .permutations import Permutation, a_value_of_permutation
-from .weights import PQContext, parse_rational, parse_weight
+
+if TYPE_CHECKING:
+    from .weights import PQContext
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,6 +138,8 @@ def _build_parser() -> _Parser:
 
 
 def _parse_pq(text: str) -> PQContext:
+    from .weights import PQContext
+
     try:
         p_str, q_str = text.split(",")
         return PQContext(_ascii_int(p_str), _ascii_int(q_str))
@@ -215,6 +222,7 @@ def _setup(args):
                 f"z = {z}: GK dimension = {g}" for z, g in series
             )
         return answer
+    from .weights import parse_rational
     z = None if args.z is None else parse_rational(args.z)
 
     def answer(w):
@@ -241,6 +249,8 @@ def _setup(args):
 
 def _run(args, answer) -> int:
     """Answer --weight, or each --batch line of stdin, through `_emit`."""
+    from .weights import parse_weight
+
     if not args.batch:
         if args.weight is None:
             raise ParseError("--weight is required (or use --batch)")

@@ -1,4 +1,5 @@
-"""Hecke algebra of S_n over Z[v, v^-1] and the definitional a-function.
+"""The Kazhdan-Lusztig basis of the Hecke algebra of S_n over Z[v, v^-1],
+and the definitional a-function.
 
 The algebra is generated by T_w with T_w T_w' = T_{ww'} when lengths add and
 (T_s + v^-1)(T_s - v) = 0.  The Kazhdan-Lusztig basis element C_w is the
@@ -12,18 +13,23 @@ independent small-rank oracle for the tableau-based a-value, so nothing here
 may depend on Robinson-Schensted theory.  Ranks are gated by a configurable
 bound (default 5).
 
-The KL basis is built once per rank, with S_n indexed by position in the
-length order: C_w = C_{w'} C_s - (constant terms at shorter y) along the
-last right descent s of w, each C_w a dict {y: {degree: coeff}} of its
-nonzero T_y coefficients.  Two symmetries save most of that work and about
-70% of the table's.  The diagram automorphism T_w -> T_{w*}, w* = w0 w w0,
-is a ring automorphism and T_w -> T_{w^-1} a ring anti-automorphism; both
-commute with the bar involution, so they map C_w to C_{w*} and to
-C_{w^-1} (Kazhdan-Lusztig, "Representations of Coxeter groups and Hecke
-algebras", 1979).  So when w*, w^-1 or (w^-1)* comes earlier in the length
-order, C_w is that element with its T_y relabelled.  With each C_w the
+The KL basis is built once per rank, with S_n as one-line tuples indexed
+by position in the length order: C_w = C_{w'} C_s - (constant terms at
+shorter y) along the last right descent s of w, each C_w a dict
+{y: {degree: coeff}} of its nonzero T_y coefficients.  Two symmetries save
+most of that work and about 70% of the table's.  The diagram automorphism
+T_w -> T_{w*}, w* = w0 w w0, is a ring automorphism and T_w -> T_{w^-1} a
+ring anti-automorphism; both commute with the bar involution, so they map
+C_w to C_{w*} and to C_{w^-1} (Kazhdan-Lusztig, "Representations of
+Coxeter groups and Hecke algebras", 1979).  So when w*, w^-1 or (w^-1)*
+comes earlier in the length order, C_w is that element with its T_y
+relabelled.  With each C_w the
 basis records the last right descent and the values mu(z, w), the v^-1
-coefficients of C_w.  HeckeElements are made from it only on request.  The
+coefficients of C_w.  kl_basis_element hands out one C_w as a
+{Permutation: {degree: coeff}} mapping, the only place this module makes
+Permutation objects.  The generic algebra (T_w products, the bar
+involution, expansion in the KL basis) is not here: the tests keep it, as
+the reference this basis and table are checked against.  The
 structure-constant table is the hot path, and it replays that record.
 Each R_y = [h_{x,y,z}]_{x,z} is built along the descent recorded for y, by
 right-multiplying a shorter R_{y'} by a generator C_s in place, row by
@@ -47,125 +53,12 @@ import threading
 from bisect import bisect_left
 from functools import lru_cache, wraps
 from itertools import permutations
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InvariantError, RankBoundError
-from .laurent import LaurentPoly
 from .permutations import Permutation
 
 DEFAULT_RANK_BOUND = 5
-
-_V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
-
-
-class HeckeElement:
-    """A finite Z[v,v^-1]-linear combination of the T_w basis of S_n."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[Permutation, LaurentPoly] = ()):
-        cleaned = {w: p for w, p in dict(terms).items() if p}
-        if any(w.n != n for w in cleaned):
-            raise ValueError("terms of mixed rank")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HeckeElement is immutable")
-
-    def __reduce__(self):
-        return HeckeElement, (self.n, self.terms)
-
-    @classmethod
-    def t(cls, w: Permutation) -> "HeckeElement":
-        return cls(w.n, {w: LaurentPoly.one()})
-
-    @classmethod
-    def zero(cls, n: int) -> "HeckeElement":
-        return cls(n)
-
-    def coeff(self, w: Permutation) -> LaurentPoly:
-        return self.terms.get(w, LaurentPoly.zero())
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        out = dict(self.terms)
-        for w, p in other.terms.items():
-            out[w] = out.get(w, LaurentPoly.zero()) + p
-        return HeckeElement(self.n, out)
-
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.n, {w: -p for w, p in self.terms.items()})
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def scale(self, c: LaurentPoly | int) -> "HeckeElement":
-        return HeckeElement(self.n, {w: p * c for w, p in self.terms.items()})
-
-    def __mul__(self, other: "HeckeElement") -> "HeckeElement":
-        return multiply(self, other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"HeckeElement(n={self.n}, 0)"
-        parts = [
-            f"({p})*T{w.one_line}"
-            for w, p in sorted(
-                self.terms.items(), key=lambda t: (t[0].length(), t[0].one_line)
-            )
-        ]
-        return " + ".join(parts)
-
-
-def _left_mul_gen(i: int, elt: HeckeElement) -> HeckeElement:
-    """T_{s_i} * elt."""
-    out: dict[Permutation, LaurentPoly] = {}
-
-    def add(w, p):
-        out[w] = out.get(w, LaurentPoly.zero()) + p
-
-    for w, p in elt.terms.items():
-        sw = w.s_times(i)
-        add(sw, p)
-        if sw.length() < w.length():
-            add(w, p * _V_MINUS_VINV)
-    return HeckeElement(elt.n, out)
-
-
-def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """The bilinear product determined by the defining relations."""
-    if a.n != b.n:
-        raise ValueError("size mismatch")
-    result = HeckeElement.zero(a.n)
-    for x, px in a.terms.items():
-        part = b
-        for i in reversed(x.reduced_word()):
-            part = _left_mul_gen(i, part)
-        result = result + part.scale(px)
-    return result
-
-
-def bar_involution(a: HeckeElement) -> HeckeElement:
-    """The ring involution with v -> v^-1 and T_w -> (T_{w^-1})^-1."""
-    result = HeckeElement.zero(a.n)
-    for w, p in a.terms.items():
-        # (T_{w^-1})^-1 = T_{s_1}^-1 ... T_{s_k}^-1 along a reduced word of w,
-        # and T_s^-1 = T_s + (v^-1 - v).
-        part = HeckeElement.t(Permutation.identity(a.n))
-        for i in reversed(w.reduced_word()):
-            part = _left_mul_gen(i, part) - part.scale(_V_MINUS_VINV)
-        result = result + part.scale(p.bar())
-    return result
 
 
 def _check_rank(n: int, rank_bound: int) -> None:
@@ -178,15 +71,16 @@ def _check_rank(n: int, rank_bound: int) -> None:
 
 # --- the KL basis, int-indexed --------------------------------------------
 #
-# Elements of S_n are indexed by their position in the length order, ties
-# broken by one-line notation.  An element of the algebra is a dict
+# Elements of S_n are one-line tuples, indexed by their position in the
+# length order, ties broken by one-line notation; Permutation objects are
+# made only by kl_basis_element.  An element of the algebra is a dict
 # {y: {degree: coeff}} holding the nonzero coefficients of the T_y.
 
 _Row = dict[int, dict[int, int]]
 
 
 class _KLBasis(NamedTuple):
-    perms: tuple[Permutation, ...]  # in the length order
+    perms: tuple[tuple[int, ...], ...]  # one-line tuples, in the length order
     index: dict[tuple[int, ...], int]  # one-line notation -> position
     rmul: tuple[tuple[int, ...], ...]  # rmul[k][i]: position of w_k s_{i+1}
     star: tuple[int, ...]  # star[k]: position of w0 w_k w0
@@ -226,16 +120,16 @@ def _once_per_rank(build):
 def _kl_basis(n: int) -> _KLBasis:
     # permutations() is lexicographic and sorted() is stable, so this is the
     # length order with ties broken by one-line notation.
-    perms = tuple(sorted(map(Permutation, permutations(range(1, n + 1))),
-                         key=Permutation.length))
-    index = {w.one_line: k for k, w in enumerate(perms)}
+    perms = tuple(sorted(permutations(range(1, n + 1)), key=_inversions))
+    index = {w: k for k, w in enumerate(perms)}
+    # w s_{i+1} swaps the entries at positions i+1 and i+2.
     rmul = tuple(
-        tuple(index[w.times_s(i).one_line] for i in range(1, n)) for w in perms
+        tuple(index[w[:i] + (w[i + 1], w[i]) + w[i + 2:]] for i in range(n - 1))
+        for w in perms
     )
     # w0 w w0 sends i to n+1 - w(n+1-i).
-    star = tuple(index[tuple(n + 1 - v for v in reversed(w.one_line))]
-                 for w in perms)
-    inverse = tuple(index[w.inverse().one_line] for w in perms)
+    star = tuple(index[tuple(n + 1 - v for v in reversed(w))] for w in perms)
+    inverse = tuple(index[_inverse(w)] for w in perms)
     star_inverse = tuple(star[y] for y in inverse)
     basis: list[_Row] = [{0: {0: 1}}]
     descent = [-1]
@@ -284,55 +178,69 @@ def _kl_basis(n: int) -> _KLBasis:
                     tuple(descent), tuple(mu))
 
 
-def _check_kl_element(perms: Sequence[Permutation], k: int, cw: _Row) -> None:
-    w = perms[k].one_line
+def _inversions(w: tuple[int, ...]) -> int:
+    """The length of w: its number of inversions."""
+    return sum(a > b for i, a in enumerate(w) for b in w[i + 1:])
+
+
+def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    """w^-1, from the table of the position of each value."""
+    position = [0] * len(w)
+    for i, v in enumerate(w, start=1):
+        position[v - 1] = i
+    return tuple(position)
+
+
+def _poly_text(p: dict[int, int]) -> str:
+    """A Laurent polynomial {degree: coeff} as text, highest degree first:
+    "0", "3*v - 1 - v^-2".  Zero coefficients are left out."""
+    parts = []
+    for e in sorted((e for e, c in p.items() if c), reverse=True):
+        c = p[e]
+        if e == 0:
+            parts.append(f"{c}")
+        else:
+            mag = "v" if e == 1 else f"v^{e}"
+            parts.append(mag if c == 1 else f"-{mag}" if c == -1 else f"{c}*{mag}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def _check_kl_element(perms: Sequence[tuple[int, ...]], k: int, cw: _Row) -> None:
+    w = perms[k]
     if cw.get(k) != {0: 1}:
-        coefficient = LaurentPoly(cw.get(k, {}))
+        coefficient = _poly_text(cw.get(k, {}))
         raise InvariantError(
             f"C_w for w={w}: coefficient of T_w is {coefficient}, not 1",
-            w=list(w), coefficient=str(coefficient), expected="1",
+            w=list(w), coefficient=coefficient, expected="1",
         )
     for y, p in cw.items():
         if y != k and max(p) >= 0:
+            coefficient = _poly_text(p)
             raise InvariantError(
-                f"C_w for w={w}: coefficient {LaurentPoly(p)} of "
-                f"T_y for y={perms[y].one_line} has a non-negative exponent",
-                w=list(w), y=list(perms[y].one_line),
-                coefficient=str(LaurentPoly(p)), max_exponent=max(p),
+                f"C_w for w={w}: coefficient {coefficient} of "
+                f"T_y for y={perms[y]} has a non-negative exponent",
+                w=list(w), y=list(perms[y]),
+                coefficient=coefficient, max_exponent=max(p),
             )
-
-
-def _kl_element(w: Permutation) -> HeckeElement:
-    kl = _kl_basis(w.n)
-    cw = kl.basis[kl.index[w.one_line]]
-    return HeckeElement(w.n, {kl.perms[y]: LaurentPoly(p) for y, p in cw.items()})
 
 
 def kl_basis_element(
     w: Permutation, *, rank_bound: int = DEFAULT_RANK_BOUND
-) -> HeckeElement:
+) -> dict[Permutation, dict[int, int]]:
     """The Kazhdan-Lusztig basis element C_w (bar-invariant, and congruent
-    to T_w modulo strictly negative v-powers).
+    to T_w modulo strictly negative v-powers), as {y: {degree: coeff}}: the
+    nonzero coefficient of each T_y, with its zero coefficients left out.
+    The mapping is the caller's own copy.
 
     The first lookup at rank n builds all n! basis elements of S_n: about
     0.006 s at rank 5 and 0.1-0.2 s at rank 6, where about a third come
     from a product and the rest are relabelled.  Raising rank_bound past 6
     makes that first lookup build all 5040 (rank 7) or more."""
     _check_rank(w.n, rank_bound)
-    return _kl_element(w)
-
-
-def kl_expand(elt: HeckeElement) -> dict[Permutation, LaurentPoly]:
-    """Coefficients of elt in the KL basis (triangular elimination).  Like
-    kl_basis_element, it builds the whole KL basis of rank elt.n."""
-    out: dict[Permutation, LaurentPoly] = {}
-    rest = elt
-    while rest.terms:
-        w = max(rest.terms, key=lambda p: (p.length(), p.one_line))
-        c = rest.terms[w]
-        out[w] = c
-        rest = rest - _kl_element(w).scale(c)
-    return out
+    kl = _kl_basis(w.n)
+    perms = kl.perms
+    return {Permutation(perms[y]): dict(p)
+            for y, p in kl.basis[kl.index[w.one_line]].items()}
 
 
 # --- bulk structure-constant degrees -------------------------------------
@@ -491,7 +399,7 @@ def _a_table(n: int) -> dict[tuple[int, ...], int]:
     best = [max(best[z], best[star[z]], best[y], best[star[y]])
             for z, y in enumerate(inverse)]
     d = n * (n - 1) // 2
-    return {w.one_line: _top_degree(best[k], b, d) for k, w in enumerate(kl.perms)}
+    return {w: _top_degree(best[k], b, d) for k, w in enumerate(kl.perms)}
 
 
 def a_function_definitional(

@@ -7,11 +7,14 @@ permutation sorting a weight into antidominant position.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import NotIntegralError
 from .tableaux import Shape, Tableau, insertion_tableau, rs_pair
-from .weights import Weight
+
+if TYPE_CHECKING:
+    # Imported in act_on, which builds one: the oracle never loads weights.
+    from .weights import Weight
 
 
 class Permutation:
@@ -123,6 +126,8 @@ class Permutation:
 
     def act_on(self, w: Weight) -> Weight:
         """The coordinate action: entry i of w lands at position sigma(i)."""
+        from .weights import Weight
+
         if self.n != w.n:
             raise ValueError("size mismatch")
         out = [None] * w.n

@@ -21,11 +21,15 @@ that an inserted entry passes over equal ones.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from operator import ge, gt
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-Entry = Fraction | int
+if TYPE_CHECKING:
+    # In annotations only, so a caller that inserts ints, as the oracle
+    # does, never loads `fractions`.
+    from fractions import Fraction
+
+    Entry = Fraction | int
 
 
 class Shape(NamedTuple("Shape", [("column_sizes", tuple[int, ...])])):
@@ -81,7 +85,7 @@ class Shape(NamedTuple("Shape", [("column_sizes", tuple[int, ...])])):
         return f"Shape{self.column_sizes}"
 
 
-class Tableau(NamedTuple("Tableau", [("rows", tuple[tuple[Entry, ...], ...])])):
+class Tableau(NamedTuple("Tableau", [("rows", "tuple[tuple[Entry, ...], ...]")])):
     """A semistandard Young tableau (weakly increasing rows, strictly
     increasing columns, row lengths weakly decreasing)."""
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gkdim.cli
+import gkdim.weights
 from gkdim import Z_RANGE_BOUND
 from gkdim.cli import main
 
@@ -649,13 +650,15 @@ class TestRunner:
         assert "abc" in err
 
     def test_z_parsed_once_per_invocation(self, capsys, monkeypatch):
+        # `cli` and `parse_weight` both look parse_rational up in `weights`:
+        # the --z text is parsed once, before stdin, then each line's entries.
         calls = []
-        parse = gkdim.cli.parse_rational
+        parse = gkdim.weights.parse_rational
 
         def counting(text):
             calls.append(text)
             return parse(text)
-        monkeypatch.setattr("gkdim.cli.parse_rational", counting)
+        monkeypatch.setattr("gkdim.weights.parse_rational", counting)
         monkeypatch.setattr("sys.stdin", io.StringIO("3,2,1,0,6,5,4,3\n" * 3))
         code, out, _ = run(
             capsys, "unitary", "--batch", "--pq", "4,4", "--z=5"
@@ -663,7 +666,7 @@ class TestRunner:
         assert code == 0
         values = [json.loads(l)["gk_dimension"] for l in out.splitlines()]
         assert values == [12] * 3
-        assert calls == ["5"]
+        assert calls == ["5"] + "3,2,1,0,6,5,4,3".split(",") * 3
 
     def test_parser_built_once(self, capsys, monkeypatch):
         # One parser serves --help, a parse error and every golden batch.

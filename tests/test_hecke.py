@@ -1,5 +1,6 @@
 """Hecke algebra relations, KL basis characterization, a-function oracle."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,16 +16,12 @@ from hypothesis import strategies as st
 
 import gkdim
 from gkdim import (
-    HeckeElement,
-    LaurentPoly,
+    InvariantError,
     Permutation,
     RankBoundError,
     a_function_definitional,
     a_value_of_permutation,
-    bar_involution,
     kl_basis_element,
-    kl_expand,
-    multiply,
     rs_of_permutation,
 )
 from gkdim.hecke import (
@@ -32,8 +29,17 @@ from gkdim.hecke import (
     _cell_width,
     _check_kl_element,
     _kl_basis,
+    _poly_text,
     _structure_matrices,
     _top_degree,
+)
+from hecke_reference import (
+    HeckeElement,
+    LaurentPoly,
+    bar_involution,
+    kl_element,
+    kl_expand,
+    multiply,
 )
 
 V = LaurentPoly.v
@@ -124,15 +130,30 @@ class TestBarInvolution:
 
 class TestKLBasis:
     def test_identity(self):
-        assert kl_basis_element(Permutation((1, 2))) == t(1, 2)
+        assert kl_basis_element(Permutation((1, 2))) == {Permutation((1, 2)): {0: 1}}
+        assert kl_element(Permutation((1, 2))) == t(1, 2)
 
     def test_simple_reflection(self):
-        c = kl_basis_element(Permutation((2, 1)))
+        s, e = Permutation((2, 1)), Permutation((1, 2))
+        assert kl_basis_element(s) == {s: {0: 1}, e: {-1: 1}}
+        c = kl_element(s)
         assert c == t(2, 1) + t(1, 2).scale(V(-1))
         assert bar_involution(c) == c
 
+    def test_returns_the_callers_own_mapping(self):
+        # Permutation keys and fresh coefficient dicts: changing one C_w
+        # leaves the cached basis, and the next lookup, as they were.
+        w = Permutation((3, 1, 2))
+        c = kl_basis_element(w)
+        assert all(type(y) is Permutation for y in c)
+        expected = {y: dict(p) for y, p in c.items()}
+        for p in c.values():
+            p[7] = 1
+        c.clear()
+        assert kl_basis_element(w) == expected
+
     def test_longest_s3(self):
-        c = kl_basis_element(Permutation((3, 2, 1)))
+        c = kl_element(Permutation((3, 2, 1)))
         assert len(c.terms) == 6
         for w, p in c.terms.items():
             assert p == V(w.length() - 3)
@@ -141,7 +162,7 @@ class TestKLBasis:
     def test_characterization(self, n):
         for ol in permutations(range(1, n + 1)):
             w = Permutation(ol)
-            c = kl_basis_element(w)
+            c = kl_element(w)
             assert bar_invariant(c)
             assert c.coeff(w) == ONE
             for y, p in c.terms.items():
@@ -203,7 +224,7 @@ class TestKLBasisAgainstReference:
     def test_matches_reference_recursion(self, n):
         for ol in permutations(range(1, n + 1)):
             w = Permutation(ol)
-            assert kl_basis_element(w) == reference_kl_element(w), ol
+            assert kl_element(w) == reference_kl_element(w), ol
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_basis_and_mu_are_non_negative(self, n):
@@ -218,35 +239,35 @@ class TestKLBasisAgainstReference:
         kl = _kl_basis(n)
         w0 = Permutation.longest(n)
         assert [kl.perms[k] for k in kl.star] == [
-            w0.compose(w).compose(w0) for w in kl.perms
+            w0.compose(w).compose(w0).one_line for w in map(Permutation, kl.perms)
         ]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_inverse_is_the_group_inverse(self, n):
         kl = _kl_basis(n)
         assert [kl.perms[k] for k in kl.inverse] == [
-            w.inverse() for w in kl.perms
+            w.inverse().one_line for w in map(Permutation, kl.perms)
         ]
 
     def test_index_follows_length_order(self):
         kl = _kl_basis(4)
-        keys = [(w.length(), w.one_line) for w in kl.perms]
+        keys = [(Permutation(w).length(), w) for w in kl.perms]
         assert keys == sorted(keys) and len(keys) == 24
-        assert all(kl.index[w.one_line] == k for k, w in enumerate(kl.perms))
-        for k, w in enumerate(kl.perms):
+        assert all(kl.index[w] == k for k, w in enumerate(kl.perms))
+        for k, w in enumerate(map(Permutation, kl.perms)):
             assert [kl.perms[j] for j in kl.rmul[k]] == [
-                w.times_s(i) for i in range(1, 4)
+                w.times_s(i).one_line for i in range(1, 4)
             ]
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_records_descent_and_mu(self, n):
         kl = _kl_basis(n)
         for k in range(1, len(kl.perms)):
-            w = kl.perms[k]
+            w = Permutation(kl.perms[k])
             assert kl.descent[k] + 1 == max(w.right_descents())
             v_inverse_terms = [
                 (kl.index[y.one_line], p[-1])
-                for y, p in kl_basis_element(w).terms.items() if p[-1]
+                for y, p in kl_basis_element(w).items() if p.get(-1)
             ]
             assert sorted(kl.mu[k]) == sorted(v_inverse_terms), w.one_line
 
@@ -277,6 +298,119 @@ class TestKLBasisAgainstReference:
         assert out == "raised\n"
 
 
+def permutation_indexing(n):
+    """(perms, index, rmul, star, inverse) built with Permutation methods,
+    as the oracle built them before it indexed S_n by one-line tuples."""
+    perms = tuple(sorted(map(Permutation, permutations(range(1, n + 1))),
+                         key=Permutation.length))
+    index = {w.one_line: k for k, w in enumerate(perms)}
+    rmul = tuple(
+        tuple(index[w.times_s(i).one_line] for i in range(1, n)) for w in perms
+    )
+    w0 = Permutation.longest(n)
+    star = tuple(index[w0.compose(w).compose(w0).one_line] for w in perms)
+    inverse = tuple(index[w.inverse().one_line] for w in perms)
+    return tuple(w.one_line for w in perms), index, rmul, star, inverse
+
+
+# sha256 of repr(sorted(_a_table(n).items())) at ranks 1-6, as the oracle
+# gave them when S_n was indexed by Permutation objects.
+A_TABLE_SHA256 = {
+    1: "3376d8b73b799cc2442800a49f19ed6318aa95e9469eb39fe60f48539bf05ccd",
+    2: "b197a21f75b2ec4e0599d7ba1fe7a81f89435f2066f02be3e0556383b3871440",
+    3: "d16a5abb045d503eb3aee60d467b15ad2e952ad75c1ca0dc6f0893ed5ac3f84a",
+    4: "9163e011613b1dea4d2f751ad09a449746c51dad1bef495dec2a247e231bd610",
+    5: "5267028356f83a115dada8fc778a9638abb89b93a404847da3f28a3187bdad85",
+    6: "34a04d21a27d78e6852af62e17048ad7c5bc98898eb6b427b8a328606cb9c7b9",
+}
+
+
+class TestOneLineIndexing:
+    """The tuple-indexed basis against the Permutation-method construction
+    it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_permutation_methods(self, n):
+        kl = _kl_basis(n)
+        perms, index, rmul, star, inverse = permutation_indexing(n)
+        assert kl.perms == perms
+        assert kl.index == index
+        assert kl.rmul == rmul
+        assert kl.star == star
+        assert kl.inverse == inverse
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_a_table_unchanged(self, n):
+        table = _a_table(n)
+        assert all(type(w) is tuple for w in table)
+        digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+        assert digest == A_TABLE_SHA256[n]
+
+
+# Corrupted C_w at w = (3, 2, 1), position 5 of S_3, and the message and
+# details _check_kl_element gave when it formatted with LaurentPoly.
+CORRUPTED = [
+    ({5: {0: 2}, 0: {-1: 1}},
+     "C_w for w=(3, 2, 1): coefficient of T_w is 2, not 1",
+     {"w": [3, 2, 1], "coefficient": "2", "expected": "1"}),
+    ({5: {0: -1, 1: 3, -2: -1}},
+     "C_w for w=(3, 2, 1): coefficient of T_w is 3*v - 1 - v^-2, not 1",
+     {"w": [3, 2, 1], "coefficient": "3*v - 1 - v^-2", "expected": "1"}),
+    ({4: {0: 1}},
+     "C_w for w=(3, 2, 1): coefficient of T_w is 0, not 1",
+     {"w": [3, 2, 1], "coefficient": "0", "expected": "1"}),
+    ({5: {0: 1, 2: 0}},
+     "C_w for w=(3, 2, 1): coefficient of T_w is 1, not 1",
+     {"w": [3, 2, 1], "coefficient": "1", "expected": "1"}),
+    ({5: {}},
+     "C_w for w=(3, 2, 1): coefficient of T_w is 0, not 1",
+     {"w": [3, 2, 1], "coefficient": "0", "expected": "1"}),
+    ({5: {0: 1}, 2: {0: 1, -1: 1}},
+     "C_w for w=(3, 2, 1): coefficient 1 + v^-1 of T_y for y=(2, 1, 3) has "
+     "a non-negative exponent",
+     {"w": [3, 2, 1], "y": [2, 1, 3], "coefficient": "1 + v^-1",
+      "max_exponent": 0}),
+    ({5: {0: 1}, 1: {1: -1, 0: 0, -3: 5}},
+     "C_w for w=(3, 2, 1): coefficient -v + 5*v^-3 of T_y for y=(1, 3, 2) "
+     "has a non-negative exponent",
+     {"w": [3, 2, 1], "y": [1, 3, 2], "coefficient": "-v + 5*v^-3",
+      "max_exponent": 1}),
+]
+
+# Coefficients 0, +-1 and larger ones, at exponents around 0.
+laurent_dicts = st.dictionaries(
+    st.integers(-4, 4),
+    st.sampled_from([0, 1, -1]) | st.integers(-40, 40),
+    max_size=7,
+)
+
+
+class TestPolyText:
+    """_check_kl_element's formatter against LaurentPoly's text, which it
+    replaced."""
+
+    @pytest.mark.parametrize("p, text", [
+        ({}, "0"), ({0: 0}, "0"), ({0: 5}, "5"), ({0: -3}, "-3"),
+        ({1: 1}, "v"), ({-1: 1}, "v^-1"), ({1: -1}, "-v"),
+        ({-1: -1}, "-v^-1"), ({2: 7, -2: -12}, "7*v^2 - 12*v^-2"),
+        ({-1: 1, 0: -1, 1: 1}, "v - 1 + v^-1"),
+    ])
+    def test_examples(self, p, text):
+        assert _poly_text(p) == text == repr(LaurentPoly(p))
+
+    @settings(max_examples=400, deadline=None)
+    @given(laurent_dicts)
+    def test_matches_laurent_poly(self, p):
+        assert _poly_text(p) == str(LaurentPoly(p))
+
+    @pytest.mark.parametrize("cw, message, details", CORRUPTED)
+    def test_invariant_messages_unchanged(self, cw, message, details):
+        with pytest.raises(InvariantError) as info:
+            _check_kl_element(_kl_basis(3).perms, 5, cw)
+        assert str(info.value) == message
+        assert info.value.details == details
+
+
 class TestAFunction:
     def test_identity_is_zero(self):
         for n in (1, 2, 3, 4):
@@ -284,7 +418,7 @@ class TestAFunction:
 
     def test_s2_generator(self):
         s = Permutation((2, 1))
-        c = kl_basis_element(s)
+        c = kl_element(s)
         prod = kl_expand(multiply(c, c))
         assert prod == {s: V(1) + V(-1)}
         assert a_function_definitional(s) == 1
@@ -299,9 +433,9 @@ class TestAFunction:
         the KL basis, and every h is fixed under the bar involution."""
         best = {}
         for x_ol in permutations(range(1, n + 1)):
-            cx = kl_basis_element(Permutation(x_ol))
+            cx = kl_element(Permutation(x_ol))
             for y_ol in permutations(range(1, n + 1)):
-                prod = multiply(cx, kl_basis_element(Permutation(y_ol)))
+                prod = multiply(cx, kl_element(Permutation(y_ol)))
                 for z, h in kl_expand(prod).items():
                     assert h.bar() == h
                     d = h.degree
@@ -471,7 +605,7 @@ def reference_a_table(n):
         for row in mat:
             for z, poly in row.items():
                 best[z] = max(best[z], max(poly))
-    return {w.one_line: best[k] for k, w in enumerate(kl.perms)}
+    return {w: best[k] for k, w in enumerate(kl.perms)}
 
 
 @lru_cache(maxsize=None)
@@ -487,13 +621,13 @@ def reference_largest_coefficient(n):
 
 @lru_cache(maxsize=None)
 def lengths(n):
-    return [w.length() for w in _kl_basis(n).perms]
+    return [Permutation(w).length() for w in _kl_basis(n).perms]
 
 
 def built_rows(kl, k):
     """The rows x of R_{w_k} that the table builds: x <= x* and
     l(x) >= l(w_k), in increasing order."""
-    length = lengths(kl.perms[0].n)
+    length = lengths(len(kl.perms[0]))
     return [x for x, xs in enumerate(kl.star)
             if x <= xs and length[x] >= length[k]]
 
@@ -581,7 +715,7 @@ class TestTableAgainstReference:
             decoded = [
                 {z: unpack(cell, b, d) for z, cell in row.items()} for row in mat
             ]
-            assert decoded == [ref[x] for x in rows], kl.perms[k].one_line
+            assert decoded == [ref[x] for x in rows], kl.perms[k]
             for row in mat:
                 for z, cell in row.items():
                     longest[z] = max(longest[z], cell.bit_length())

@@ -4,11 +4,12 @@ imports).
 
 A bare `import gkdim` loads no submodule: each public name is imported from
 its module on first use (PEP 562 `__getattr__`).  `import gkdim.cli` loads
-six of the eight library modules; `dimension` and `hermitian` load only when
-a command that uses them runs, so `verify-oracle` compiles neither.  `hecke`
-loads at import because the benchmark's tracer wraps only modules already
-loaded, and `permutations` and `weights` because tests patch names in
-`gkdim.cli`."""
+four of the seven library modules, the ones `verify-oracle` runs: `errors`,
+`hecke`, `permutations` and `tableaux`.  `dimension`, `hermitian` and
+`weights` load only when a command that uses them runs, so `verify-oracle`
+compiles none of them and loads no `fractions` or `decimal`.  `hecke` loads
+at import because the benchmark's tracer wraps only modules already loaded,
+and `permutations` because tests patch names in `gkdim.cli`."""
 
 import importlib
 import io
@@ -82,20 +83,19 @@ def test_bare_import_loads_no_submodule():
 
 
 # Loaded by `import gkdim.cli`, and so by every command.
-CLI_MODULES = ["errors", "hecke", "laurent", "permutations", "tableaux",
-               "weights"]
+CLI_MODULES = ["errors", "hecke", "permutations", "tableaux"]
 
 # (argv, stdin, library modules the command adds to CLI_MODULES); the stdin
 # lines are the first of each command's batch golden in test_cli.py.
 COMMANDS = [
     ((), "", []),
-    (("gkdim", "--batch"), "1,2,3\n", ["dimension"]),
+    (("gkdim", "--batch"), "1,2,3\n", ["dimension", "weights"]),
     (("hermitian", "--pq", "4,6", "--batch"), "6,5,3,2,9,8,7,4,2,1\n",
-     ["hermitian"]),
+     ["hermitian", "weights"]),
     (("series", "--pq", "2,3", "--z-range=0,5", "--batch"), "2,1,4,3,2\n",
-     ["hermitian"]),
+     ["hermitian", "weights"]),
     (("unitary", "--pq", "4,4", "--z=1/2", "--batch"), "3,2,1,0,6,5,4,3\n",
-     ["hermitian"]),
+     ["hermitian", "weights"]),
     (("verify-oracle", "--rank", "3"), "", []),
 ]
 
@@ -121,6 +121,14 @@ def test_command_loads_only_its_modules(capsys, monkeypatch, argv, stdin,
     if argv:
         assert gkdim.cli.main(list(argv)) == 0
     assert out == capsys.readouterr().out
+
+
+def test_verify_oracle_loads_no_fractions_or_decimal():
+    """The oracle inserts ints and parses no weight, so a cold
+    `verify-oracle` loads neither `fractions` nor the `decimal` it imports."""
+    code = ("import gkdim.cli\n"
+            "assert gkdim.cli.main(['verify-oracle', '--rank', '3']) == 0")
+    assert {"fractions", "decimal"} & set(_fresh(code)[1]) == set()
 
 
 def test_importtime_times_hecke_on_its_own_line():

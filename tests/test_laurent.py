@@ -1,9 +1,10 @@
-"""LaurentPoly arithmetic against plain {exponent: coefficient} dicts."""
+"""The reference LaurentPoly's arithmetic against plain {exponent:
+coefficient} dicts."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkdim import LaurentPoly
+from hecke_reference import LaurentPoly
 
 # Zero coefficients included, so construction has something to drop.
 coeff_dicts = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=6)

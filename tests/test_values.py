@@ -1,6 +1,8 @@
 """Every public value, and every report the library returns, survives
 copy.copy, copy.deepcopy and pickle at every protocol as an equal value of
-the same type with the same repr."""
+the same type with the same repr, and the same hash if it has one (only
+the mapping kl_basis_element returns has none).
+The tests' reference LaurentPoly and HeckeElement keep that contract too."""
 
 import copy
 import pickle
@@ -12,8 +14,6 @@ from gkdim import (
     AlgebraWord,
     BallSignature,
     CongruenceClass,
-    HeckeElement,
-    LaurentPoly,
     NormalForm,
     Permutation,
     PQContext,
@@ -28,6 +28,7 @@ from gkdim import (
     unitary_interval,
     xi_signature,
 )
+from hecke_reference import HeckeElement, LaurentPoly
 
 _W = Weight([6, 5, 4, 3, 11, 10, 9, 8, 7, 6])
 _CTX = PQContext(4, 6)
@@ -57,6 +58,7 @@ VALUES = {
     "xi_signature": xi_signature(_W, _CTX),
     "algebra_normal_form": algebra_normal_form(AlgebraWord([("x", 1), ("y", 2)])),
     "unitary_interval": unitary_interval(_TILDE, _TILDE_CTX),
+    # A dict {Permutation: {degree: coeff}}.
     "kl_basis_element": kl_basis_element(Permutation((3, 1, 4, 2))),
 }
 
@@ -78,4 +80,7 @@ def test_round_trip(name, how):
     assert type(copied) is type(value)
     assert copied == value
     assert repr(copied) == repr(value)
-    assert hash(copied) == hash(value)
+    if name == "kl_basis_element":
+        assert type(value) is dict  # no hash to compare
+    else:
+        assert hash(copied) == hash(value)
