@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .tableaux import Tableau, _keyed_insertion_tableau
+from .tableaux import Tableau, _relabel, insertion_tableau
 from .weights import Weight, congruence_key
 
 
@@ -79,20 +79,23 @@ def gk_dimension(w: Weight) -> GKReport:
     the sum of C(c, 2) over the column sizes c (Macdonald I (1.6)); see
     `Tableau.a_value`.
 
-    Each class is inserted as its entries' numerators, which order it
-    because its entries share one reduced denominator, and its tableau holds
-    the weight's own `Fraction`s; see the `tableaux` module docstring.  So no
-    `Fraction` is compared.  Insertion costs one ``bisect`` per row an entry
-    passes, so a strictly decreasing class of n entries, which builds n rows,
-    costs O(n^2) int comparisons: about 0.07, 0.2-0.3 and 0.85 s at n = 1000,
-    2000 and 4000 (2 vCPU, Python 3.11.7), against 0.3-0.6, 1.5-1.8 and
-    6.0-6.6 s when insertion compared `Fraction`s.
+    Each class is inserted as its entries' numerators, which are ints: the
+    entries of one class share one reduced denominator, so their numerators
+    order them, ties included (Knuth 1970, standardization).  The tableau of
+    numerators is then relabelled by the class's own `Fraction`s, a strictly
+    increasing map (`tableaux._relabel`), so no `Fraction` is compared and
+    each class is validated once.  Insertion costs one ``bisect`` per row an
+    entry passes, so a strictly decreasing class of n entries, which builds
+    n rows, costs O(n^2) int comparisons: about 0.07, 0.2-0.3 and 0.85 s at
+    n = 1000, 2000 and 4000 (2 vCPU, Python 3.11.7), against 0.3-0.6,
+    1.5-1.8 and 6.0-6.6 s when insertion compared `Fraction`s.
     """
     classes = congruence_decomposition(w)
-    tableaux = tuple(
-        _keyed_insertion_tableau([e.numerator for e in c.entries], c.entries)
-        for c in classes
-    )
+    tableaux: list[Tableau] = []
+    for c in classes:
+        keys = [e.numerator for e in c.entries]
+        label = dict(zip(keys, c.entries)).__getitem__
+        tableaux.append(_relabel(insertion_tableau(keys), label))
     total = sum(t.a_value() for t in tableaux)
     nu0 = w.n * (w.n - 1) // 2
     return GKReport(
@@ -102,5 +105,5 @@ def gk_dimension(w: Weight) -> GKReport:
         gk_dimension=nu0 - total,
         integral=len(classes) == 1,
         classes=tuple(classes),
-        tableaux=tableaux,
+        tableaux=tuple(tableaux),
     )

@@ -56,7 +56,7 @@ from itertools import permutations
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InvariantError, RankBoundError
-from .permutations import Permutation
+from .permutations import Permutation, _inverse, _inversions
 
 DEFAULT_RANK_BOUND = 5
 
@@ -176,19 +176,6 @@ def _kl_basis(n: int) -> _KLBasis:
         mu.append(tuple((z, p[-1]) for z, p in cw.items() if -1 in p))
     return _KLBasis(perms, index, rmul, star, inverse, tuple(basis),
                     tuple(descent), tuple(mu))
-
-
-def _inversions(w: tuple[int, ...]) -> int:
-    """The length of w: its number of inversions."""
-    return sum(a > b for i, a in enumerate(w) for b in w[i + 1:])
-
-
-def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
-    """w^-1, from the table of the position of each value."""
-    position = [0] * len(w)
-    for i, v in enumerate(w, start=1):
-        position[v - 1] = i
-    return tuple(position)
 
 
 def _poly_text(p: dict[int, int]) -> str:

@@ -44,6 +44,8 @@ class Permutation:
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
+        _check_index(i, n, "position")
+        _check_index(j, n, "position")
         ol = list(range(1, n + 1))
         ol[i - 1], ol[j - 1] = ol[j - 1], ol[i - 1]
         return cls(ol)
@@ -53,6 +55,7 @@ class Permutation:
         return len(self.one_line)
 
     def __call__(self, i: int) -> int:
+        _check_index(i, self.n, "position")
         return self.one_line[i - 1]
 
     def __iter__(self) -> Iterator[int]:
@@ -78,20 +81,11 @@ class Permutation:
     __mul__ = compose
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.one_line, start=1):
-            inv[v - 1] = i
-        return Permutation(inv)
+        return Permutation(_inverse(self.one_line))
 
     def length(self) -> int:
         """Number of inversions; 0 for the identity, n(n-1)/2 for the longest."""
-        ol = self.one_line
-        return sum(
-            1
-            for i in range(len(ol))
-            for j in range(i + 1, len(ol))
-            if ol[i] > ol[j]
-        )
+        return _inversions(self.one_line)
 
     def right_descents(self) -> list[int]:
         """Indices i with sigma(i) > sigma(i+1), i.e. sigma*s_i shorter."""
@@ -100,12 +94,14 @@ class Permutation:
 
     def times_s(self, i: int) -> "Permutation":
         """Right multiplication by the adjacent transposition s_i."""
+        _check_index(i, self.n - 1, "generator")
         ol = list(self.one_line)
         ol[i - 1], ol[i] = ol[i], ol[i - 1]
         return Permutation(ol)
 
     def s_times(self, i: int) -> "Permutation":
         """Left multiplication by s_i (swaps the values i and i+1)."""
+        _check_index(i, self.n - 1, "generator")
         ol = [i + 1 if v == i else i if v == i + 1 else v for v in self.one_line]
         return Permutation(ol)
 
@@ -134,6 +130,25 @@ class Permutation:
         for i, v in enumerate(self.one_line):
             out[v - 1] = w.entries[i]
         return Weight(out)
+
+
+def _check_index(i: int, top: int, what: str) -> None:
+    if not 1 <= i <= top:
+        raise ValueError(f"{what} index must be in 1..{top}, got {i}")
+
+
+def _inversions(one_line: tuple[int, ...]) -> int:
+    """The length of a permutation in one-line notation: its number of
+    inversions."""
+    return sum(a > b for i, a in enumerate(one_line) for b in one_line[i + 1:])
+
+
+def _inverse(one_line: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse in one-line notation, from the position of each value."""
+    position = [0] * len(one_line)
+    for i, v in enumerate(one_line, start=1):
+        position[v - 1] = i
+    return tuple(position)
 
 
 def rs_of_permutation(a: Permutation) -> tuple[Tableau, Tableau]:

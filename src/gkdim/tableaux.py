@@ -1,35 +1,22 @@
 """Young tableaux, Schensted row insertion and column statistics.
 
-Entries are ``Fraction``s or ``int``s.  ``Shape`` and ``Tableau`` are
+Entries may be any totally ordered values: ``Fraction``s, ``int``s or
+``str``s, compared as they are given.  ``Shape`` and ``Tableau`` are
 immutable one-field ``NamedTuple``s; insertion returns a new tableau and the
-1-indexed (row, column) of the added box.  Each tableau is validated once.
-The constructor validates the rows it is given.  When all their entries share
-one denominator, as the entries of one congruence class do, the checks compare
-numerators, which are ints; otherwise they compare values.
-
-`_keyed_insertion_tableau` inserts int keys in place of the entries they
-stand for, validates the int rows, and relabels each key by its entry without
-validating again.  Its contract: equal keys stand for equal entries, and
-keys compare as their entries do, so the relabelling is strictly
-order-preserving and carries a semistandard tableau of keys to a semistandard
-tableau of entries with the same shape.  The numerators of one congruence
-class are such keys, since its entries share one reduced denominator (Knuth
-1970, standardization), and ``bisect_right`` on ints keeps Schensted's rule
-that an inserted entry passes over equal ones.
+1-indexed (row, column) of the added box.  The constructor validates the rows
+it is given, so each tableau is validated once.  `insertion_tableau` is the
+one builder of P without a recording tableau, and `_relabel` maps the entries
+of a built tableau without validating it again.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from operator import ge, gt
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-if TYPE_CHECKING:
-    # In annotations only, so a caller that inserts ints, as the oracle
-    # does, never loads `fractions`.
-    from fractions import Fraction
-
-    Entry = Fraction | int
+# Any totally ordered value; the library inserts `Fraction`s and ints.
+Entry = Any
 
 
 class Shape(NamedTuple("Shape", [("column_sizes", tuple[int, ...])])):
@@ -53,6 +40,10 @@ class Shape(NamedTuple("Shape", [("column_sizes", tuple[int, ...])])):
 
     @classmethod
     def from_row_lengths(cls, rows: Sequence[int]) -> "Shape":
+        if any(r <= 0 for r in rows):
+            raise ValueError("row lengths must be positive")
+        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+            raise ValueError("row lengths must weakly decrease")
         return cls(
             sum(1 for r in rows if r > j) for j in range(max(rows, default=0))
         )
@@ -93,7 +84,7 @@ class Tableau(NamedTuple("Tableau", [("rows", "tuple[tuple[Entry, ...], ...]")])
 
     def __new__(cls, rows: Iterable[Sequence[Entry]] = ()):
         rows = tuple(map(tuple, rows))
-        _validate(_comparison_rows(rows))
+        _validate(rows)
         return tuple.__new__(cls, (rows,))
 
     @property
@@ -114,6 +105,8 @@ class Tableau(NamedTuple("Tableau", [("rows", "tuple[tuple[Entry, ...], ...]")])
 
     def column(self, j: int) -> tuple[Entry, ...]:
         """Entries of the j-th column (1-indexed), top to bottom."""
+        if j < 1:
+            raise ValueError(f"column index must be at least 1, got {j}")
         return tuple(r[j - 1] for r in self.rows if len(r) >= j)
 
     def insert(self, x: Entry) -> tuple["Tableau", tuple[int, int]]:
@@ -167,25 +160,6 @@ def _row_insert(rows: list[list[Entry]], x: Entry) -> tuple[int, int]:
     return len(rows), 1
 
 
-def _comparison_rows(
-    rows: Sequence[Sequence[Entry]],
-) -> Sequence[Sequence[Entry]]:
-    """Rows ordered as `rows` are, as ints where that is cheap to see.
-
-    A Fraction is in lowest terms with a positive denominator, so entries
-    sharing one denominator are ordered by their numerators, which compare
-    as ints instead of through Fraction's Python-level comparison.  Rows of
-    ints are their own numerators and are returned as they are.  Only rows
-    that start with an int are tested for that, so rows of Fractions pay
-    for one type check."""
-    if rows and rows[0] and type(rows[0][0]) is int and all(
-            type(e) is int for r in rows for e in r):
-        return rows
-    if len({e.denominator for r in rows for e in r}) == 1:
-        return [[e.numerator for e in r] for r in rows]
-    return rows
-
-
 def _validate(rows: Sequence[Sequence[Entry]]) -> None:
     for i, r in enumerate(rows):
         if not r:
@@ -203,14 +177,17 @@ def _validate(rows: Sequence[Sequence[Entry]]) -> None:
 def insertion_tableau(seq: Iterable[Entry]) -> Tableau:
     """Insertion tableau P of a sequence, with no recording tableau.
 
-    Each entry costs one ``bisect`` per row it passes, so a strictly
-    decreasing sequence, which builds one row per entry, costs O(n^2)
-    comparisons: 0.3-0.6, 1.5-2.1 and 4.9-7.3 s for n = 1000, 2000 and 4000
-    `Fraction`s (2 vCPU, Python 3.11.7), and about 0.07, 0.2-0.3 and 0.85 s
-    through int keys, as `gk_dimension` inserts.
+    This is the one P-only builder: `gk_dimension`, `gk_pq` and
+    `a_value_of_permutation` all call it.  Each entry costs one ``bisect``
+    per row it passes, so a strictly decreasing sequence, which builds one
+    row per entry, costs O(n^2) comparisons: 0.3-0.6, 1.5-2.1 and 4.9-7.3 s
+    for n = 1000, 2000 and 4000 `Fraction`s (2 vCPU, Python 3.11.7), and
+    about 0.07, 0.2-0.3 and 0.85 s for ints.
 
     >>> insertion_tableau([3, 5, 2, 2, 1]).rows
     ((1, 2), (2, 5), (3,))
+    >>> insertion_tableau("bca").rows
+    (('a', 'c'), ('b',))
     """
     rows: list[list[Entry]] = []
     for x in seq:
@@ -218,26 +195,18 @@ def insertion_tableau(seq: Iterable[Entry]) -> Tableau:
     return Tableau(rows)
 
 
-def _keyed_insertion_tableau(
-    keys: Sequence[int], entries: Sequence[Entry]
-) -> Tableau:
-    """Insertion tableau P of `entries`, computed on their int `keys`.
+def _relabel(t: Tableau, label: Callable[[Entry], Entry]) -> Tableau:
+    """t with each entry e replaced by label(e), not validated again.
 
-    ``keys[i]`` stands for ``entries[i]``, under the contract in the module
-    docstring.  The int rows are validated once; the tableau of entries is
-    built from them without a second validation.
+    Contract: label is strictly increasing on t's entries, that is, e < f
+    implies label(e) < label(f).  Such a map carries a semistandard tableau
+    to a semistandard tableau of the same shape, so no second validation is
+    needed.
 
-    >>> from fractions import Fraction as F
-    >>> e = [F(7, 2), F(1, 2), F(7, 2), F(-1, 2)]
-    >>> _keyed_insertion_tableau([x.numerator for x in e], e).rows
-    ((Fraction(-1, 2), Fraction(7, 2)), (Fraction(1, 2),), (Fraction(7, 2),))
+    >>> _relabel(insertion_tableau([2, 0, 2, 1]), "xyz".__getitem__).rows
+    (('x', 'y'), ('z', 'z'))
     """
-    rows: list[list[int]] = []
-    for k in keys:
-        _row_insert(rows, k)
-    _validate(rows)
-    label = dict(zip(keys, entries)).__getitem__
-    return tuple.__new__(Tableau, (tuple(tuple(map(label, r)) for r in rows),))
+    return tuple.__new__(Tableau, (tuple(tuple(map(label, r)) for r in t.rows),))
 
 
 def rs_pair(seq: Iterable[Entry]) -> tuple[Tableau, Tableau]:

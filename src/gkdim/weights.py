@@ -10,6 +10,7 @@ No floating point is used anywhere: entries are ``fractions.Fraction``.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -164,6 +165,10 @@ class PQContext(NamedTuple("PQContext", [("p", int), ("q", int)])):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int):
+        try:
+            p, q = operator.index(p), operator.index(q)
+        except TypeError:
+            raise ValueError("p and q must be integers") from None
         if p < 1 or q < 1:
             raise ValueError("p and q must be positive")
         return tuple.__new__(cls, (p, q))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import gkdim.cli
 import gkdim.weights
 from gkdim import Z_RANGE_BOUND
+from gkdim.errors import ParseError
 from gkdim.cli import main
 
 
@@ -138,6 +139,25 @@ class TestHermitianCommand:
         assert got == (
             1, "", "error: expected p,q with positive integers: '-1,1'\n"
         )
+
+    @pytest.mark.parametrize("pq", ["1.5,2", "2,3/1", "0,2"])
+    def test_pq_not_positive_integers(self, capsys, pq):
+        # PQContext's ValueError and the digit parser's both become this
+        # ParseError.
+        with pytest.raises(ParseError,
+                           match="expected p,q with positive integers"):
+            gkdim.cli._parse_pq(pq)
+        got = run(capsys, "hermitian", "--weight", "1,0", "--pq", pq)
+        assert got == (
+            1, "", f"error: expected p,q with positive integers: {pq!r}\n"
+        )
+
+    def test_non_integral_pq_context_is_parse_error(self, monkeypatch):
+        # With a digit parser that let "1.5" through, PQContext's own
+        # ValueError would still become the CLI's ParseError.
+        monkeypatch.setattr(gkdim.cli, "_ascii_int", float)
+        with pytest.raises(ParseError, match="'1.5,2'"):
+            gkdim.cli._parse_pq("1.5,2")
 
     @pytest.mark.parametrize("pq", ["٢,٣", "2,3_0", "²,3"])
     def test_non_ascii_digit_pq_is_parse_error(self, capsys, pq):

@@ -1,20 +1,23 @@
-"""Run the docstring examples embedded in the library modules, and in the
-tests' reference Hecke algebra."""
+"""Run the docstring examples embedded in every library module, and in the
+tests' reference Hecke algebra.  The modules are discovered, not listed, so
+a new example cannot go unrun."""
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import gkdim.hermitian
-import gkdim.tableaux
-import gkdim.weights
-import hecke_reference
+import gkdim
+
+MODULES = [f"gkdim.{m.name}" for m in pkgutil.iter_modules(gkdim.__path__)]
 
 
-@pytest.mark.parametrize(
-    "module",
-    [gkdim.weights, gkdim.tableaux, hecke_reference, gkdim.hermitian],
-)
-def test_module_doctests(module):
-    failures, _ = doctest.testmod(module)
+def test_every_library_module_is_collected():
+    assert {"gkdim.cli", "gkdim.tableaux", "gkdim.hecke"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", [*MODULES, "hecke_reference"])
+def test_module_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(name))
     assert failures == 0

@@ -16,6 +16,8 @@ from gkdim import (
     parabolic_longest,
     rs_of_permutation,
 )
+from gkdim.permutations import _inverse, _inversions
+from helpers import check_value_error
 
 
 def perms(max_n=6):
@@ -71,6 +73,45 @@ class TestGroupStructure:
             Permutation((1, 1, 2))
         with pytest.raises(ValueError):
             Permutation.identity(2).compose(Permutation.identity(3))
+
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_call_index(self, i):
+        check_value_error(lambda: Permutation([2, 3, 1])(i),
+                          f"position index must be in 1..3, got {i}")
+
+    @pytest.mark.parametrize("i", [0, -1, 3])
+    def test_times_s_index(self, i):
+        check_value_error(lambda: Permutation([2, 3, 1]).times_s(i),
+                          f"generator index must be in 1..2, got {i}")
+
+    @pytest.mark.parametrize("i", [0, -1, 3, 5])
+    def test_s_times_index(self, i):
+        check_value_error(lambda: Permutation([2, 3, 1]).s_times(i),
+                          f"generator index must be in 1..2, got {i}")
+
+    @pytest.mark.parametrize("i,j", [(0, 2), (2, 0), (4, 1), (1, 4)])
+    def test_transposition_index(self, i, j):
+        bad = i if not 1 <= i <= 3 else j
+        check_value_error(lambda: Permutation.transposition(3, i, j),
+                          f"position index must be in 1..3, got {bad}")
+
+    def test_indices_at_the_ends(self):
+        a = Permutation([2, 3, 1])
+        assert (a(1), a(3)) == (2, 1)
+        assert a.times_s(1).one_line == (3, 2, 1)
+        assert a.times_s(2).one_line == (2, 1, 3)
+        assert a.s_times(1).one_line == (1, 3, 2)
+        assert a.s_times(2).one_line == (3, 2, 1)
+        assert Permutation.transposition(3, 1, 3).one_line == (3, 2, 1)
+
+    @given(perms())
+    def test_one_line_primitives(self, a):
+        # Permutation.length and .inverse and the oracle's KL basis share
+        # these two.
+        assert _inversions(a.one_line) == brute_inversions(a.one_line)
+        inv = _inverse(a.one_line)
+        assert tuple(a(v) for v in inv) == tuple(range(1, a.n + 1))
+        assert a.inverse().one_line == inv
 
     @given(perm_pairs())
     def test_compose_lengths(self, pair):

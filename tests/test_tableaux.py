@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkdim import Shape, Tableau, insertion_tableau, rs_pair
-from gkdim.tableaux import _validate
+from gkdim import Shape, Tableau, insertion_tableau, rs_pair, tableaux
+from gkdim.tableaux import _relabel, _validate
 from helpers import check_value_error, check_value_type, reference_schensted
 
 entry_lists = st.lists(
@@ -30,8 +30,7 @@ repeat_heavy_lists = st.lists(
 
 def reference_validate(rows):
     """The message `Tableau(rows)` raises, or None, found by comparing the
-    entries themselves, as the constructor did before it compared
-    numerators."""
+    entries themselves with plain loops."""
     for i, r in enumerate(rows):
         if not r:
             return "empty tableau row"
@@ -139,6 +138,33 @@ partitions = st.lists(st.integers(1, 12), max_size=12).map(
     lambda parts: sorted(parts, reverse=True)
 )
 
+# Words of one plain type each: strings, Fractions with mixed denominators,
+# and ints drawn from five values, so that ties are heavy.
+plain_words = st.one_of(
+    st.lists(st.text(alphabet="abc", max_size=2), max_size=15),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+             max_size=15),
+    st.lists(st.integers(-2, 2), max_size=25),
+)
+
+
+def _cut(args):
+    """The word cut into consecutive rows of the given lengths, the last row
+    taking what is left: rarely a tableau, and sometimes with an empty row."""
+    word, lengths = args
+    rows, start = [], 0
+    for k in lengths:
+        rows.append(word[start:start + k])
+        start += k
+    if start < len(word):
+        rows.append(word[start:])
+    return rows
+
+
+def _is_partition(lengths):
+    return all(r > 0 for r in lengths) and all(
+        a >= b for a, b in zip(lengths, lengths[1:]))
+
 
 class TestShape:
     def test_row_column_views(self):
@@ -175,6 +201,22 @@ class TestShape:
         with pytest.raises(ValueError):
             Shape((2, 0))
 
+    # Any ints up to 40, so that a long first row stays cheap to build.
+    @given(st.one_of(st.lists(st.integers(max_value=40)),
+                     st.lists(st.integers(-1, 4), max_size=6)))
+    def test_from_row_lengths_accepts_exactly_partitions(self, lengths):
+        if _is_partition(lengths):
+            assert Shape.from_row_lengths(lengths).row_lengths == tuple(lengths)
+        else:
+            with pytest.raises(ValueError):
+                Shape.from_row_lengths(lengths)
+
+    @given(partitions)
+    def test_from_row_lengths_round_trip(self, lengths):
+        s = Shape.from_row_lengths(lengths)
+        assert Shape.from_row_lengths(s.row_lengths) == s
+        assert Shape(s.column_sizes) == s
+
 
 class TestInsert:
     def test_worked_bump(self):
@@ -202,8 +244,9 @@ class TestInsert:
 
 
 class TestValidation:
-    """The constructor compares numerators when every entry shares one
-    denominator, and values otherwise."""
+    """The constructor compares the entries as they are given.  Its checks,
+    their order and their messages are those it made while rows of one
+    denominator were compared by their numerators (`previous_validate`)."""
 
     def test_mixed_denominators_compare_values(self):
         # Equal numerators, but 1/2 > 1/3 and 1 > 1/2.
@@ -256,13 +299,55 @@ class TestValidation:
     @settings(max_examples=300)
     @given(st.one_of(candidate_rows, int_candidate_rows))
     def test_against_previous_checks(self, rows):
-        """Int rows skip the one-denominator prelude, in the constructor and
-        in `_validate`, which `gk_dimension` calls on its int rows; every
-        row keeps its checks, their order and their messages."""
+        """Comparing values gives the messages that comparing numerators
+        gave, in the constructor and in `_validate` on int rows, which every
+        `gk_dimension` class is validated as."""
         expected = validation_message(previous_validate, rows)
         assert validation_message(Tableau, rows) == expected
         if all(type(e) is int for r in rows for e in r):
             assert validation_message(_validate, rows) == expected
+
+
+class TestPlainValues:
+    """Insertion and validation compare any totally ordered entries as they
+    are given; plain Schensted (`reference_schensted`) is the reference."""
+
+    @settings(max_examples=300)
+    @given(plain_words)
+    def test_insertion(self, word):
+        p_ref, q_ref, _ = reference_schensted(word)
+        assert insertion_tableau(word).rows == p_ref
+        p, q = rs_pair(word)
+        assert (p.rows, q.rows) == (p_ref, q_ref)
+
+    @settings(max_examples=300)
+    @given(st.tuples(plain_words, st.lists(st.integers(0, 5), max_size=5))
+           .map(_cut))
+    def test_validation(self, rows):
+        assert validation_message(Tableau, rows) == reference_validate(rows)
+
+
+class TestRelabel:
+    @given(plain_words, st.integers(-9, 9))
+    def test_increasing_map(self, word, shift):
+        t = insertion_tableau(word)
+        rank = {e: shift + 2 * i for i, e in enumerate(sorted(set(word)))}
+        u = _relabel(t, rank.__getitem__)
+        assert u.shape() == t.shape()
+        assert u.rows == tuple(tuple(rank[e] for e in r) for r in t.rows)
+        # Insertion commutes with a strictly increasing map.
+        assert u == insertion_tableau(map(rank.__getitem__, word))
+        assert type(u) is Tableau
+
+    def test_does_not_validate(self, monkeypatch):
+        t = insertion_tableau([3, 1, 2, 1])
+
+        def refuse(rows):
+            raise AssertionError("validated again")
+
+        monkeypatch.setattr(tableaux, "_validate", refuse)
+        u = _relabel(t, "abcd".__getitem__)
+        assert u.rows == (("b", "b"), ("c",), ("d",))
 
 
 class TestRSPair:
@@ -363,12 +448,25 @@ class TestValueType:
     @pytest.mark.parametrize("make,message", [
         (lambda: Shape((2, 0)), "column sizes must be positive"),
         (lambda: Shape((1, 2)), "column sizes must weakly decrease"),
+        (lambda: Shape.from_row_lengths([0, 2]), "row lengths must be positive"),
+        (lambda: Shape.from_row_lengths([1, 2]),
+         "row lengths must weakly decrease"),
         (lambda: Tableau([[1], []]), "empty tableau row"),
         (lambda: Tableau([[1], [3, 2]]), "row 2 is not weakly increasing"),
         (lambda: Tableau([[1], [2, 3]]), "row lengths must weakly decrease"),
         (lambda: Tableau([[1, 2], [1]]),
          "column not strictly increasing at row 2"),
-    ], ids=["shape-zero", "shape-increasing", "empty-row", "row-order",
+    ], ids=["shape-zero", "shape-increasing", "shape-row-zero",
+            "shape-row-increasing", "empty-row", "row-order",
             "row-lengths", "column-order"])
     def test_validation_messages(self, make, message):
         check_value_error(make, message)
+
+    @pytest.mark.parametrize("j", [0, -1])
+    def test_column_index(self, j):
+        check_value_error(lambda: Tableau([[1, 2], [3]]).column(j),
+                          f"column index must be at least 1, got {j}")
+
+    def test_column_past_the_shape(self):
+        t = Tableau([[1, 2], [3]])
+        assert (t.column(1), t.column(2), t.column(3)) == ((1, 3), (2,), ())

@@ -379,6 +379,19 @@ class TestPQContextValue:
     def test_validation(self, args):
         check_value_error(lambda: PQContext(*args), "p and q must be positive")
 
+    @pytest.mark.parametrize("args", [(1.5, 2), (2, 2.0), ("2", 3),
+                                      (F(3), 1), (None, 1)])
+    def test_non_integral(self, args):
+        check_value_error(lambda: PQContext(*args), "p and q must be integers")
+
+    def test_index_like(self):
+        class Four:
+            def __index__(self):
+                return 4
+
+        ctx = PQContext(Four(), 6)
+        assert ctx == (4, 6) and type(ctx.p) is int
+
     def test_is_a_tuple_of_its_fields(self):
         # As for every value type (README, "Layout"): a NamedTuple.
         ctx = PQContext(4, 6)
