@@ -24,7 +24,7 @@ _PUBLIC = {
     "hecke": "DEFAULT_RANK_BOUND a_function_definitional kl_basis_element",
     "hermitian": """Z_RANGE_BOUND AlgebraWord BallSignature HermitianReport
         NormalForm UnitaryInterval algebra_normal_form associated_variety
-        ball_model_m ball_model_m_by_simulation ball_transform_equivalent
+        ball_model_m ball_transform_equivalent
         gk_pq gkdim_series second_column_by_deletion unitary_gkdim
         unitary_interval xi_signature""",
     "permutations": """Permutation a_value_of_permutation

@@ -15,7 +15,8 @@ closure is k(n-k), and the orbit index is m, or min(p,q) when non-integral.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from operator import index
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DomainError,
@@ -67,7 +68,11 @@ class BallSignature(NamedTuple("BallSignature", [("runs", tuple[int, ...])])):
     __slots__ = ()
 
     def __new__(cls, runs: Iterable[int]):
-        rs = tuple(map(int, runs))
+        entries = map(index, runs)  # a non-iterable raises TypeError here
+        try:
+            rs = tuple(entries)
+        except TypeError:
+            raise ValueError("run lengths must be integers") from None
         if len(rs) < 2 or len(rs) % 2:
             raise ValueError("signature needs even length 2r with r >= 1")
         if min(rs) < 0:
@@ -152,19 +157,6 @@ def ball_model_m(xi: BallSignature) -> int:
     return g
 
 
-def ball_model_m_by_simulation(xi: BallSignature) -> int:
-    """Removable adjacent white-black pairs by literal repeated removal."""
-    removed = 0
-    stack: list[str] = []
-    for ball in xi.balls():
-        if ball == "b" and stack and stack[-1] == "w":
-            stack.pop()
-            removed += 1
-        else:
-            stack.append(ball)
-    return removed
-
-
 def second_column_by_deletion(w: Weight, ctx: PQContext) -> list[Fraction]:
     """Second-column entries of the insertion tableau, top to bottom,
     via the deletion recursion.
@@ -198,7 +190,11 @@ class AlgebraWord(
     __slots__ = ()
 
     def __new__(cls, factors: Iterable[tuple[str, int]]):
-        fs = tuple((str(l), int(e)) for l, e in factors)
+        fs = [(str(l), e) for l, e in factors]
+        try:
+            fs = tuple((l, index(e)) for l, e in fs)
+        except TypeError:
+            raise ValueError("exponents must be integers") from None
         if any(l not in ("x", "y") or e < 0 for l, e in fs):
             raise ValueError("factors must be ('x'|'y', exponent >= 0)")
         return tuple.__new__(cls, (fs,))
@@ -237,38 +233,25 @@ def algebra_normal_form(word: AlgebraWord) -> NormalForm:
     return NormalForm(v_exp=m, y_exp=s, x_exp=t)
 
 
-_REWRITES = (("wbb", "bwb"), ("wwb", "wbw"))
-
-
 def ball_transform_equivalent(xi1: BallSignature, xi2: BallSignature) -> bool:
     """Whether xi2 is reachable from xi1 by the two local ball moves
-    (wbb <-> bwb and wwb <-> wbw at any position)."""
+    (wbb <-> bwb and wwb <-> wbw at any position).
+
+    The moves say (wb)b = b(wb) and w(wb) = (wb)w: the pair wb commutes
+    with each ball.  Removing pairs one at a time and commuting each to the
+    middle takes every line to b^s (wb)^m w^t, with m its removable-pair
+    count.  Both sides of each move are equal in the bicyclic monoid
+    (wb = 1), where a line is b^s w^t, so the moves keep m.  Two lines with
+    the same ball counts are therefore equivalent exactly when they have
+    the same m, and the answer costs one `ball_model_m` per line.
+    """
     if (xi1.white_total, xi1.black_total) != (xi2.white_total, xi2.black_total):
         raise DomainError(
             "signatures have different ball counts",
             counts1=(xi1.white_total, xi1.black_total),
             counts2=(xi2.white_total, xi2.black_total),
         )
-    start = "".join(xi1.balls())
-    goal = "".join(xi2.balls())
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        if goal in seen:
-            return True
-        nxt = []
-        for state in frontier:
-            for a, b in _REWRITES:
-                for pat, rep in ((a, b), (b, a)):
-                    i = state.find(pat)
-                    while i != -1:
-                        new = state[:i] + rep + state[i + 3 :]
-                        if new not in seen:
-                            seen.add(new)
-                            nxt.append(new)
-                        i = state.find(pat, i + 1)
-        frontier = nxt
-    return goal in seen
+    return ball_model_m(xi1) == ball_model_m(xi2)
 
 
 class HermitianReport(NamedTuple):

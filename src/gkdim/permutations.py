@@ -7,6 +7,7 @@ permutation sorting a weight into antidominant position.
 
 from __future__ import annotations
 
+from operator import index
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import NotIntegralError
@@ -23,7 +24,11 @@ class Permutation:
     __slots__ = ("one_line",)
 
     def __init__(self, one_line: Iterable[int]):
-        ol = tuple(int(v) for v in one_line)
+        entries = map(index, one_line)  # a non-iterable raises TypeError here
+        try:
+            ol = tuple(entries)
+        except TypeError:
+            raise ValueError("one-line entries must be integers") from None
         if sorted(ol) != list(range(1, len(ol) + 1)):
             raise ValueError(f"not a permutation of 1..{len(ol)}: {ol}")
         object.__setattr__(self, "one_line", ol)

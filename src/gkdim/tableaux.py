@@ -2,17 +2,17 @@
 
 Entries may be any totally ordered values: ``Fraction``s, ``int``s or
 ``str``s, compared as they are given.  ``Shape`` and ``Tableau`` are
-immutable one-field ``NamedTuple``s; insertion returns a new tableau and the
-1-indexed (row, column) of the added box.  The constructor validates the rows
-it is given, so each tableau is validated once.  `insertion_tableau` is the
-one builder of P without a recording tableau, and `_relabel` maps the entries
-of a built tableau without validating it again.
+immutable one-field ``NamedTuple``s.  `insertion_tableau` builds the
+insertion tableau P of a sequence and `rs_pair` builds P with its recording
+tableau Q; both fold `_row_insert` over mutable rows and validate the result
+once, in the ``Tableau`` constructor.  `_relabel` maps the entries of a built
+tableau without validating it again.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import ge, gt
+from operator import ge, gt, index
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 # Any totally ordered value; the library inserts `Fraction`s and ints.
@@ -31,7 +31,11 @@ class Shape(NamedTuple("Shape", [("column_sizes", tuple[int, ...])])):
     __slots__ = ()
 
     def __new__(cls, column_sizes: Iterable[int]):
-        cs = tuple(int(c) for c in column_sizes)
+        entries = map(index, column_sizes)  # a non-iterable raises TypeError here
+        try:
+            cs = tuple(entries)
+        except TypeError:
+            raise ValueError("column sizes must be integers") from None
         if any(c <= 0 for c in cs):
             raise ValueError("column sizes must be positive")
         if any(cs[i] < cs[i + 1] for i in range(len(cs) - 1)):
@@ -109,20 +113,6 @@ class Tableau(NamedTuple("Tableau", [("rows", "tuple[tuple[Entry, ...], ...]")])
             raise ValueError(f"column index must be at least 1, got {j}")
         return tuple(r[j - 1] for r in self.rows if len(r) >= j)
 
-    def insert(self, x: Entry) -> tuple["Tableau", tuple[int, int]]:
-        """Schensted row insertion.
-
-        The inserted value bumps the leftmost entry strictly bigger than it;
-        equal entries are passed over, so repeats extend rows rightwards.
-
-        >>> t, box = Tableau([[2, 5], [3]]).insert(2)
-        >>> t.rows, box
-        (((2, 2), (3, 5)), (2, 2))
-        """
-        rows = [list(r) for r in self.rows]
-        box = _row_insert(rows, x)
-        return Tableau(rows), box
-
     def is_standard(self) -> bool:
         """Rows and columns strictly increase and entries are exactly 1..k."""
         flat = sorted(e for r in self.rows for e in r)
@@ -148,7 +138,13 @@ class Tableau(NamedTuple("Tableau", [("rows", "tuple[tuple[Entry, ...], ...]")])
 def _row_insert(rows: list[list[Entry]], x: Entry) -> tuple[int, int]:
     """Schensted row insertion of x into mutable rows, in place.
 
+    The inserted value bumps the leftmost entry strictly bigger than it;
+    equal entries are passed over, so repeats extend rows rightwards.
     Returns the 1-indexed (row, column) of the added box.
+
+    >>> rows = [[2, 5], [3]]
+    >>> _row_insert(rows, 2), rows
+    ((2, 2), [[2, 2], [3, 5]])
     """
     for i, row in enumerate(rows, start=1):
         j = bisect_right(row, x)

@@ -84,6 +84,45 @@ def signature_from_balls(balls: str) -> BallSignature:
     return BallSignature(runs)
 
 
+def ball_model_m_by_simulation(xi: BallSignature) -> int:
+    """Removable adjacent white-black pairs by literal repeated removal."""
+    removed = 0
+    stack: list[str] = []
+    for ball in xi.balls():
+        if ball == "b" and stack and stack[-1] == "w":
+            stack.pop()
+            removed += 1
+        else:
+            stack.append(ball)
+    return removed
+
+
+_REWRITES = (("wbb", "bwb"), ("wwb", "wbw"))
+
+
+def reachable_lines(start: str) -> set[str]:
+    """Every ball line reachable from `start` (like 'wwbwb') by the two
+    local moves wbb <-> bwb and wwb <-> wbw, by breadth-first search.  The
+    reference for ``ball_transform_equivalent``; the set grows exponentially
+    with the line length."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for a, b in _REWRITES:
+                for pat, rep in ((a, b), (b, a)):
+                    i = state.find(pat)
+                    while i != -1:
+                        new = state[:i] + rep + state[i + 3 :]
+                        if new not in seen:
+                            seen.add(new)
+                            nxt.append(new)
+                        i = state.find(pat, i + 1)
+        frontier = nxt
+    return seen
+
+
 def weight_from_pattern(
     colors: tuple[str, ...], ties: frozenset[int], base: int = 0
 ) -> tuple[Weight, PQContext]:

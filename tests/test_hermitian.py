@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import operator
 import os
 import random
 import subprocess
@@ -33,7 +34,6 @@ from gkdim import (
     algebra_normal_form,
     associated_variety,
     ball_model_m,
-    ball_model_m_by_simulation,
     ball_transform_equivalent,
     gk_dimension,
     gk_pq,
@@ -51,10 +51,12 @@ from gkdim.weights import add_z_zeta
 
 from helpers import (
     all_patterns,
+    ball_model_m_by_simulation,
     check_value_error,
     check_value_type,
     random_dominant_weight,
     random_tilde_weight,
+    reachable_lines,
     reference_xi_signature,
     signature_from_balls,
     weight_from_pattern,
@@ -129,7 +131,10 @@ def reference_ball_signature(runs):
     """The runs `BallSignature(runs)` holds, or the message it raises, by
     one generator per check, as the constructor did before its C-level
     passes."""
-    rs = tuple(int(x) for x in runs)
+    try:
+        rs = tuple(operator.index(x) for x in runs)
+    except TypeError:
+        return "run lengths must be integers"
     if len(rs) < 2 or len(rs) % 2:
         return "signature needs even length 2r with r >= 1"
     if any(x < 0 for x in rs):
@@ -390,22 +395,39 @@ class TestBallTransforms:
         assert ball_model_m(target) == 4
         assert ball_transform_equivalent(original, target)
 
-    def test_pair_count_invariant_on_reachable_set(self):
-        """Both moves preserve the removable-pair count; different counts
-        are never reachable."""
-        rng = random.Random(3)
-        for _ in range(40):
-            total = rng.randint(2, 8)
-            line1 = "".join(rng.choice("wb") for _ in range(total))
-            line2_list = list(line1)
-            rng.shuffle(line2_list)
-            line2 = "".join(line2_list)
-            sig1 = signature_from_balls(line1)
-            sig2 = signature_from_balls(line2)
-            if ball_transform_equivalent(sig1, sig2):
-                assert ball_model_m(sig1) == ball_model_m(sig2)
-            else:
-                pass  # unreachable pairs carry no claim either way
+    def test_equals_search_exhaustively(self):
+        """Every ordered pair of lines with equal ball counts, up to 9 balls:
+        equivalent exactly when the search reaches the second line."""
+        for total in range(1, 10):
+            lines = ["".join(bits) for bits in product("wb", repeat=total)]
+            by_whites = {}
+            for line in lines:
+                by_whites.setdefault(line.count("w"), []).append(line)
+            for group in by_whites.values():
+                sigs = {line: signature_from_balls(line) for line in group}
+                for a in group:
+                    reach = reachable_lines(a)
+                    for b in group:
+                        assert ball_transform_equivalent(sigs[a], sigs[b]) == (
+                            b in reach
+                        ), (a, b)
+
+    def test_long_line_and_normal_form(self):
+        """A 200-ball line is equivalent to its normal form b^s (wb)^m w^t
+        and not to the normal form with one pair fewer."""
+        rng = random.Random(26)
+        line = "".join(rng.choice("wb") for _ in range(200))
+        sig = signature_from_balls(line)
+        m = ball_model_m(sig)
+        s, t = sig.black_total - m, sig.white_total - m
+        assert m >= 1
+        normal = signature_from_balls("b" * s + "wb" * m + "w" * t)
+        fewer = signature_from_balls(
+            "b" * (s + 1) + "wb" * (m - 1) + "w" * (t + 1)
+        )
+        assert ball_transform_equivalent(sig, normal)
+        assert ball_transform_equivalent(normal, sig)
+        assert not ball_transform_equivalent(sig, fewer)
 
     def test_unequal_m_never_reachable(self):
         sig1 = signature_from_balls("wb")  # one removable pair

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkdim import Shape, Tableau, insertion_tableau, rs_pair, tableaux
-from gkdim.tableaux import _relabel, _validate
+from gkdim.tableaux import _relabel, _row_insert, _validate
 from helpers import check_value_error, check_value_type, reference_schensted
 
 entry_lists = st.lists(
@@ -220,18 +220,21 @@ class TestShape:
 
 class TestInsert:
     def test_worked_bump(self):
-        t, box = Tableau([[2, 5], [3]]).insert(2)
-        assert t.rows == ((2, 2), (3, 5))
+        rows = [[2, 5], [3]]
+        box = _row_insert(rows, 2)
+        assert Tableau(rows).rows == ((2, 2), (3, 5))
         assert box == (2, 2)
 
     def test_into_empty(self):
-        t, box = Tableau().insert(F(7, 2))
-        assert t.rows == ((F(7, 2),),)
+        rows = []
+        box = _row_insert(rows, F(7, 2))
+        assert Tableau(rows).rows == ((F(7, 2),),)
         assert box == (1, 1)
 
     def test_append_when_largest(self):
-        t, box = Tableau([[1, 3], [2]]).insert(3)
-        assert t.rows == ((1, 3, 3), (2,))
+        rows = [[1, 3], [2]]
+        box = _row_insert(rows, 3)
+        assert Tableau(rows).rows == ((1, 3, 3), (2,))
         assert box == (1, 3)
 
     def test_validation(self):
@@ -405,11 +408,9 @@ class TestAgainstReference:
     @given(repeat_heavy_lists)
     def test_folded_insert(self, seq):
         p_ref, _, boxes_ref = reference_schensted(seq)
-        t, boxes = Tableau(), []
-        for x in seq:
-            t, box = t.insert(x)
-            boxes.append(box)
-        assert t.rows == p_ref
+        rows = []
+        boxes = [_row_insert(rows, x) for x in seq]
+        assert Tableau(rows).rows == p_ref
         assert boxes == boxes_ref
 
 

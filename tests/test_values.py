@@ -2,7 +2,9 @@
 copy.copy, copy.deepcopy and pickle at every protocol as an equal value of
 the same type with the same repr, and the same hash if it has one (only
 the mapping kl_basis_element returns has none).
-The tests' reference LaurentPoly and HeckeElement keep that contract too."""
+The tests' reference LaurentPoly and HeckeElement keep that contract too.
+The value types with integer fields refuse non-integral input, as PQContext
+does, rather than truncating it."""
 
 import copy
 import pickle
@@ -29,6 +31,7 @@ from gkdim import (
     xi_signature,
 )
 from hecke_reference import HeckeElement, LaurentPoly
+from helpers import check_value_error
 
 _W = Weight([6, 5, 4, 3, 11, 10, 9, 8, 7, 6])
 _CTX = PQContext(4, 6)
@@ -84,3 +87,15 @@ def test_round_trip(name, how):
         assert type(value) is dict  # no hash to compare
     else:
         assert hash(copied) == hash(value)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Shape((2.7, 1.2)), "column sizes must be integers"),
+    (lambda: Permutation([2.9, 1.5]), "one-line entries must be integers"),
+    (lambda: BallSignature((1.7, 2.2)), "run lengths must be integers"),
+    (lambda: BallSignature(("3", "1")), "run lengths must be integers"),
+    (lambda: AlgebraWord([("x", 2.9)]), "exponents must be integers"),
+], ids=["Shape", "Permutation", "BallSignature", "BallSignature-str",
+        "AlgebraWord"])
+def test_refuses_non_integral(make, message):
+    check_value_error(make, message)
