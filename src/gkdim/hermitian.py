@@ -119,17 +119,23 @@ def xi_signature(w: Weight, ctx: PQContext) -> BallSignature:
     run may be empty; every other run holds at least one ball.
     """
     _require_integral_dominant(w, ctx)
-    return _merged_signature(w, ctx)
+    return _merged_signature(*_numerators(w, ctx))
 
 
-def _merged_signature(w: Weight, ctx: PQContext) -> BallSignature:
-    """The merge of `xi_signature`, for a weight already known to be
-    integral and (p,q)-dominant."""
-    # All entries share one congruence key, hence one denominator, so their
-    # numerators order them.
-    blacks = [e.numerator for e in w.entries[: ctx.p]]
-    whites = [e.numerator for e in w.entries[ctx.p :]]
-    p, q = ctx.p, ctx.q
+def _numerators(w: Weight, ctx: PQContext) -> tuple[list[int], list[int]]:
+    """The numerators of w's black and white entries.  For an integral
+    weight all entries share one denominator, so these order them, ties
+    included."""
+    return (
+        [e.numerator for e in w.entries[: ctx.p]],
+        [e.numerator for e in w.entries[ctx.p :]],
+    )
+
+
+def _merged_signature(blacks: list[int], whites: list[int]) -> BallSignature:
+    """The merge of `xi_signature`, from the numerators of an integral
+    (p,q)-dominant weight's black and white entries."""
+    p, q = len(blacks), len(whites)
     runs: list[int] = []
     i = j = 0
     while i < p or j < q:
@@ -290,15 +296,53 @@ def gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
     ball model, which must agree.  Non-integral case: GKdim = pq and the
     orbit index is min(p,q).
 
-    The insertion still compares `Fraction`s, unlike `gk_dimension`'s: the
-    benchmark checks each large-n round afterwards with its own quadratic
-    su(p,q) insertion, so a much faster `gk_pq` would make a run check for
-    minutes, until the benchmark caps its rounds.  A strictly decreasing
-    weight builds one row per entry and costs O(n^2) comparisons: 0.4-0.6,
-    1.5-2.1 and 4.9-7.3 s at n = 1000, 2000 and 4000 (2 vCPU, Python 3.11.7).
+    Unlike the points of the z-line, which insert ints, `gk_pq` itself
+    still inserts the weight's `Fraction`s: the benchmark checks each
+    large-n round afterwards with its own quadratic su(p,q) insertion, so a
+    much faster `gk_pq` would make a run check for minutes, until the
+    benchmark caps its rounds.  A strictly decreasing weight builds one row
+    per entry and costs O(n^2) comparisons: 0.4-0.6, 1.5-2.1 and 4.9-7.3 s
+    at n = 1000, 2000 and 4000 (2 vCPU, Python 3.11.7).
     """
     _require_pq_dominant(w, ctx)
     return _dominant_gk_pq(w, ctx)
+
+
+def _two_route_check(
+    seq: Iterable, blacks: list[int], whites: list[int],
+    w: Weight, ctx: PQContext, z: Fraction | int = 0,
+) -> tuple[tuple, BallSignature, int]:
+    """(second column, signature, m) of the integral (p,q)-dominant weight
+    add_z_zeta(w, ctx, z), given its black and white numerators and, as
+    seq, its entries or any keys that order them the same way.
+
+    m is read off the insertion tableau of seq and from the ball model,
+    which must agree, and the paper proves the tableau has at most two
+    columns.  The shifted weight is built only to name it in an error.
+    """
+    tableau = insertion_tableau(seq)
+    width = len(tableau.rows[0])
+    second = tableau.column(2)
+    xi = _merged_signature(blacks, whites)
+    m = ball_model_m(xi)
+    if width <= 2 and m == len(second):
+        return second, xi, m
+    shifted = add_z_zeta(w, ctx, z)
+    where = f"gk_pq of {shifted} for (p,q)=({ctx.p},{ctx.q})"
+    fields = dict(
+        function="gk_pq", weight=shifted.to_strings(), p=ctx.p, q=ctx.q
+    )
+    if width > 2:
+        raise InvariantError(
+            f"{where}: insertion tableau has {width} columns, at most 2 "
+            f"expected",
+            **fields, first_row_length=width,
+        )
+    raise InvariantError(
+        f"{where}: tableau and ball model disagree: second column of length "
+        f"{len(second)}, ball model m = {m} from {xi}",
+        **fields, tableau_m=len(second), ball_model_m=m, xi=list(xi.runs),
+    )
 
 
 def _dominant_gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
@@ -310,17 +354,9 @@ def _dominant_gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
     if integral:
         # Dominance makes each half one congruence class and the split joins
         # them, so the whole weight is the one class to insert.
-        second = insertion_tableau(w.entries).column(2)
-        xi = _merged_signature(w, ctx)
-        m = ball_model_m(xi)
-        if m != len(second):
-            raise InvariantError(
-                f"gk_pq of {w} for (p,q)=({ctx.p},{ctx.q}): tableau and ball "
-                f"model disagree: second column of length {len(second)}, "
-                f"ball model m = {m} from {xi}",
-                function="gk_pq", weight=w.to_strings(), p=ctx.p, q=ctx.q,
-                tableau_m=len(second), ball_model_m=m, xi=list(xi.runs),
-            )
+        second, xi, m = _two_route_check(
+            w.entries, *_numerators(w, ctx), w, ctx
+        )
     return HermitianReport(
         p=ctx.p, q=ctx.q, integral=integral, m=m, second_column=second, xi=xi,
         gk_dimension=m * (n - m) if integral else ctx.p * ctx.q,
@@ -409,7 +445,17 @@ def _unitary_gkdim(
         value = p * q
     else:
         value = int(z + 1) * int(n - z - 1)
-    actual = _dominant_gk_pq(add_z_zeta(tilde_w, ctx, z), ctx).gk_dimension
+    # The shifted weight's integrality is read off its own first black and
+    # first white, as `_integral_across_split` reads it, so the closed form
+    # meets an independent computation.  When the keys agree, every shifted
+    # entry has the denominator d of es[p] (tilde_w is integral), so z*d is
+    # an integer.
+    es = tilde_w.entries
+    actual = p * q
+    if congruence_key(es[0] + z) == congruence_key(es[p]):
+        shift = int(z * es[p].denominator)
+        blacks, whites = _numerators(tilde_w, ctx)
+        actual = _z_point_gk(tilde_w, ctx, blacks, whites, z, shift)
     if actual != value:
         raise InvariantError(
             f"unitary_gkdim of {tilde_w} for (p,q)=({p},{q}) at z={z}: "
@@ -420,7 +466,25 @@ def _unitary_gkdim(
     return value
 
 
-# Each point of a z-series is one full su(p,q) computation.
+def _z_point_gk(
+    tilde_w: Weight, ctx: PQContext, blacks: list[int], whites: list[int],
+    z: Fraction | int, shift: int,
+) -> int:
+    """GK dimension at an integral point z of tilde_w's z-line.
+
+    blacks and whites are tilde_w's numerators over their one denominator
+    d, and shift = z*d.  Adding z to a black e = b/d gives (b + shift)/d,
+    still in lowest terms, so the shifted weight's numerators are the
+    shifted blacks and the unchanged whites, and no `Weight` is built.
+    """
+    shifted = [b + shift for b in blacks]
+    _, _, m = _two_route_check(
+        shifted + whites, shifted, whites, tilde_w, ctx, z
+    )
+    return m * (ctx.n - m)
+
+
+# Each point of a z-series is one su(p,q) insertion and ball-model check.
 Z_RANGE_BOUND = 1000
 
 
@@ -432,6 +496,12 @@ def gkdim_series(
     The values are guaranteed weakly decreasing in z and, for integral
     weights, zero beyond the gap threshold; both are asserted.  A range of
     more than Z_RANGE_BOUND points is refused before any computation.
+
+    Each point of an integral line costs one insertion of the shifted
+    weight's n int numerators (O(n^2) comparisons at worst, as `gk_pq`'s)
+    and one O(n) ball-model check; it builds no `Weight`, `Fraction` or
+    `HermitianReport`.  A non-integral line gives pq at every point with no
+    insertion.
     """
     _require_pq_dominant(tilde_w, ctx)
     if z_from > z_to:
@@ -442,12 +512,19 @@ def gkdim_series(
             f"got {z_to - z_from + 1}",
             z_from=z_from, z_to=z_to, z_range_bound=Z_RANGE_BOUND,
         )
-    # Adding z to the first p entries keeps each half's congruence key and
-    # order, so every weight on the line is dominant, as tilde_w is.
-    series = [
-        (z, _dominant_gk_pq(add_z_zeta(tilde_w, ctx, z), ctx).gk_dimension)
-        for z in range(z_from, z_to + 1)
-    ]
+    # Adding an integer z to the first p entries keeps each half's
+    # congruence key and order, so every weight on the line is dominant, as
+    # tilde_w is, and integral across the split exactly when tilde_w is.
+    integral = _integral_across_split(tilde_w, ctx)
+    if integral:
+        d = tilde_w.entries[0].denominator
+        blacks, whites = _numerators(tilde_w, ctx)
+        series = [
+            (z, _z_point_gk(tilde_w, ctx, blacks, whites, z, z * d))
+            for z in range(z_from, z_to + 1)
+        ]
+    else:
+        series = [(z, ctx.p * ctx.q) for z in range(z_from, z_to + 1)]
     for (z0, g0), (z1, g1) in zip(series, series[1:]):
         if g0 < g1:
             raise InvariantError(
@@ -458,7 +535,7 @@ def gkdim_series(
                 p=ctx.p, q=ctx.q, z=z0, gk_dimension=g0, next_z=z1,
                 next_gk_dimension=g1,
             )
-    if _integral_across_split(tilde_w, ctx):
+    if integral:
         threshold = tilde_w.entries[ctx.p] - tilde_w.entries[ctx.p - 1] + 1
         for z, g in series:
             if z > threshold and g != 0:

@@ -41,11 +41,11 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return cls(range(1, _rank(n) + 1))
 
     @classmethod
     def longest(cls, n: int) -> "Permutation":
-        return cls(range(n, 0, -1))
+        return cls(range(_rank(n), 0, -1))
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
@@ -135,6 +135,13 @@ class Permutation:
         for i, v in enumerate(self.one_line):
             out[v - 1] = w.entries[i]
         return Weight(out)
+
+
+def _rank(n: int) -> int:
+    try:
+        return index(n)
+    except TypeError:
+        raise ValueError("n must be an integer") from None
 
 
 def _check_index(i: int, top: int, what: str) -> None:

@@ -44,6 +44,11 @@ class Shape(NamedTuple("Shape", [("column_sizes", tuple[int, ...])])):
 
     @classmethod
     def from_row_lengths(cls, rows: Sequence[int]) -> "Shape":
+        entries = map(index, rows)  # a non-iterable raises TypeError here
+        try:
+            rows = tuple(entries)
+        except TypeError:
+            raise ValueError("row lengths must be integers") from None
         if any(r <= 0 for r in rows):
             raise ValueError("row lengths must be positive")
         if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):

@@ -10,6 +10,7 @@ No floating point is used anywhere: entries are ``fractions.Fraction``.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import re
 from fractions import Fraction
@@ -76,6 +77,14 @@ def congruence_key(e: Fraction | int) -> tuple[int, int]:
     return e.numerator % e.denominator, e.denominator
 
 
+def _exact(e) -> Fraction:
+    """e as a `Fraction`, if it is an exact rational (an int or a
+    `Fraction`); a float, `Decimal` or string is refused, not converted."""
+    if not isinstance(e, numbers.Rational):
+        raise ValueError("weight entries must be integers or Fractions")
+    return Fraction(e)
+
+
 def parse_weight(text: str) -> "Weight":
     """Parse a comma-separated lambda+rho coordinate vector."""
     parts = text.split(",")
@@ -91,7 +100,7 @@ class Weight:
 
     def __init__(self, entries: Iterable[Fraction | int]):
         entries = tuple(
-            e if type(e) is Fraction else Fraction(e) for e in entries
+            e if type(e) is Fraction else _exact(e) for e in entries
         )
         if not entries:
             raise ValueError("a weight needs at least one entry")

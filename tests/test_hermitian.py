@@ -10,7 +10,6 @@ import sys
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +26,7 @@ from gkdim import (
     NotPQDominantError,
     OutsideUnitaryIntervalError,
     PQContext,
+    Tableau,
     UnitaryInterval,
     Weight,
     Z_RANGE_BOUND,
@@ -646,7 +646,7 @@ class TestSeries:
         def no_point(*args):
             raise AssertionError("a point computed for an oversized range")
 
-        monkeypatch.setattr(gkdim.hermitian, "_dominant_gk_pq", no_point)
+        monkeypatch.setattr(gkdim.hermitian, "_z_point_gk", no_point)
         with pytest.raises(ZRangeBoundError) as info:
             gkdim_series(mu_tilde(2, 3), PQContext(2, 3), 0, 10**9)
         assert info.value.code == "z-range-bound-exceeded"
@@ -714,10 +714,10 @@ class TestZetaLineCrossChecks:
 
 
 def _fake_gk_pq(values):
-    """A stand-in for the points' gk_pq body, `_dominant_gk_pq`, whose
-    successive reports carry `values`."""
+    """A stand-in for the z-line's per-point routine, `_z_point_gk`, whose
+    successive GK dimensions are `values`."""
     values = iter(values)
-    return lambda w, ctx: SimpleNamespace(gk_dimension=next(values))
+    return lambda *args: next(values)
 
 
 class TestCrossCheckErrors:
@@ -744,7 +744,7 @@ class TestCrossCheckErrors:
 
     def test_unitary_closed_form_against_direct(self, monkeypatch):
         monkeypatch.setattr(
-            gkdim.hermitian, "_dominant_gk_pq", _fake_gk_pq([5])
+            gkdim.hermitian, "_z_point_gk", _fake_gk_pq([5])
         )
         with pytest.raises(
             RuntimeError,
@@ -758,7 +758,7 @@ class TestCrossCheckErrors:
 
     def test_series_not_decreasing(self, monkeypatch):
         monkeypatch.setattr(
-            gkdim.hermitian, "_dominant_gk_pq", _fake_gk_pq([3, 5, 5])
+            gkdim.hermitian, "_z_point_gk", _fake_gk_pq([3, 5, 5])
         )
         with pytest.raises(
             RuntimeError,
@@ -773,7 +773,7 @@ class TestCrossCheckErrors:
 
     def test_series_nonzero_beyond_threshold(self, monkeypatch):
         monkeypatch.setattr(
-            gkdim.hermitian, "_dominant_gk_pq", _fake_gk_pq([1] * 4)
+            gkdim.hermitian, "_z_point_gk", _fake_gk_pq([1] * 4)
         )
         with pytest.raises(
             RuntimeError,
@@ -784,3 +784,139 @@ class TestCrossCheckErrors:
         assert isinstance(info.value, InvariantError)
         assert info.value.details["gk_dimension"] == 1
         assert info.value.details["expected"] == 0
+
+
+@st.composite
+def _z_line_halves(draw, den, residue, size, first=None):
+    """Numerators residue + den*k over den, k strictly decreasing by gaps of
+    1 to 3: one half of a (p,q)-dominant weight, as `Fraction`s."""
+    k = draw(st.integers(-6, 6)) if first is None else first
+    ks = [k]
+    for _ in range(size - 1):
+        ks.append(ks[-1] - draw(st.integers(1, 3)))
+    return [F(residue + den * k, den) for k in ks]
+
+
+@st.composite
+def z_line_weights(draw):
+    """A (p,q)-dominant weight whose entries share a denominator of 1, 2
+    or 3; the two halves' residues are drawn apart, so that some splits
+    are not integral."""
+    den = draw(st.sampled_from([1, 2, 3]))
+    p, q = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    blacks = draw(_z_line_halves(den, draw(st.integers(0, den - 1)), p))
+    whites = draw(_z_line_halves(den, draw(st.integers(0, den - 1)), q))
+    return Weight(blacks + whites), PQContext(p, q)
+
+
+@st.composite
+def z_line_tilde_weights(draw):
+    """An integral (p,q)-dominant weight over a denominator of 1, 2 or 3
+    whose first entry equals its last: the base of a unitary z-line."""
+    den = draw(st.sampled_from([1, 2, 3]))
+    residue = draw(st.integers(0, den - 1))
+    p, q = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    c = draw(st.integers(-4, 4))
+    blacks = draw(_z_line_halves(den, residue, p, first=c))
+    # A half that starts at the first entry, mirrored about it, decreases
+    # to it.
+    top = blacks[0]
+    whites = [2 * top - e for e in reversed(
+        draw(_z_line_halves(den, residue, q, first=c))
+    )]
+    return Weight(blacks + whites), PQContext(p, q)
+
+
+def _fraction_route(w: Weight, ctx: PQContext, z) -> int:
+    """The GK dimension at z through a shifted `Weight` of `Fraction`s."""
+    return gk_pq(add_z_zeta(w, ctx, z), ctx).gk_dimension
+
+
+class TestIntZLine:
+    """The z-line's points insert int numerators; they must give what the
+    `Fraction` route through `gk_pq` gives, answers and errors alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(z_line_weights(), st.integers(-8, 0))
+    def test_series_against_fraction_route(self, line, z_from):
+        w, ctx = line
+        gap = w.entries[ctx.p] - w.entries[ctx.p - 1]
+        z_to = max(z_from, int(gap) + 3)
+        series = gkdim_series(w, ctx, z_from, z_to)
+        assert series == [
+            (z, _fraction_route(w, ctx, z)) for z in range(z_from, z_to + 1)
+        ]
+        assert series[-1][0] > gap  # the window runs past the gap
+
+    @settings(max_examples=150, deadline=None)
+    @given(z_line_tilde_weights())
+    def test_unitary_against_fraction_route(self, line):
+        w, ctx = line
+        assert w.entries[0] == w.entries[-1]
+        interval = unitary_interval(w, ctx)
+        zs = list(range(-3, interval.threshold_int + 1))
+        for z in zs + [F(1, 2), F(-5, 2)]:
+            assert unitary_gkdim(w, ctx, z) == _fraction_route(w, ctx, z), z
+
+    @pytest.mark.parametrize("w,ctx,z", [
+        (EX54, CTX54, 0),
+        (EX54, CTX54, -3),
+        (EX54, CTX54, 5),
+        (Weight([F(5, 2), F(3, 2), F(9, 2), F(7, 2), F(5, 2)]),
+         PQContext(2, 3), -2),
+        (Weight([F(5, 2), F(3, 2), F(9, 2), F(7, 2), F(5, 2)]),
+         PQContext(2, 3), 3),
+    ])
+    def test_error_equals_fraction_route(self, monkeypatch, w, ctx, z):
+        monkeypatch.setattr(gkdim.hermitian, "ball_model_m", lambda xi: 0)
+        with pytest.raises(InvariantError) as via_series:
+            gkdim_series(w, ctx, z, z)
+        with pytest.raises(InvariantError) as via_gk_pq:
+            gk_pq(add_z_zeta(w, ctx, z), ctx)
+        assert str(via_series.value) == str(via_gk_pq.value)
+        assert via_series.value.details == via_gk_pq.value.details
+        assert via_series.value.details["function"] == "gk_pq"
+        assert via_series.value.details["weight"] == (
+            add_z_zeta(w, ctx, z).to_strings()
+        )
+
+    def test_unitary_error_equals_fraction_route(self, monkeypatch):
+        monkeypatch.setattr(gkdim.hermitian, "ball_model_m", lambda xi: 0)
+        w, ctx = mu_tilde(2, 3), PQContext(2, 3)
+        with pytest.raises(InvariantError) as via_unitary:
+            unitary_gkdim(w, ctx, 1)
+        with pytest.raises(InvariantError) as via_gk_pq:
+            gk_pq(add_z_zeta(w, ctx, 1), ctx)
+        assert str(via_unitary.value) == str(via_gk_pq.value)
+        assert via_unitary.value.details == via_gk_pq.value.details
+
+    def test_third_column_is_invariant_violation(self, monkeypatch):
+        """The paper proves P has at most two columns; a P with a third,
+        forced here, is refused on both routes."""
+        monkeypatch.setattr(
+            gkdim.hermitian, "insertion_tableau",
+            lambda seq: Tableau([sorted(seq)]),
+        )
+        with pytest.raises(
+            RuntimeError,
+            match=r"gk_pq of Weight\(6, 5, 3, 2, 9, 8, 7, 4, 2, 1\) for "
+            r"\(p,q\)=\(4,6\): insertion tableau has 10 columns, at most 2 "
+            r"expected",
+        ) as info:
+            gk_pq(EX54, CTX54)
+        assert isinstance(info.value, InvariantError)
+        assert info.value.details == {
+            "function": "gk_pq",
+            "weight": ["6", "5", "3", "2", "9", "8", "7", "4", "2", "1"],
+            "p": 4, "q": 6, "first_row_length": 10,
+        }
+        with pytest.raises(InvariantError) as info:
+            gkdim_series(mu_tilde(2, 3), PQContext(2, 3), 1, 2)
+        assert str(info.value) == (
+            "gk_pq of Weight(3, 2, 4, 3, 2) for (p,q)=(2,3): insertion "
+            "tableau has 5 columns, at most 2 expected"
+        )
+        assert info.value.details == {
+            "function": "gk_pq", "weight": ["3", "2", "4", "3", "2"],
+            "p": 2, "q": 3, "first_row_length": 5,
+        }

@@ -95,7 +95,11 @@ def test_round_trip(name, how):
     (lambda: BallSignature((1.7, 2.2)), "run lengths must be integers"),
     (lambda: BallSignature(("3", "1")), "run lengths must be integers"),
     (lambda: AlgebraWord([("x", 2.9)]), "exponents must be integers"),
+    (lambda: Shape.from_row_lengths([2.0]), "row lengths must be integers"),
+    (lambda: Permutation.identity(2.0), "n must be an integer"),
+    (lambda: Permutation.longest(2.0), "n must be an integer"),
 ], ids=["Shape", "Permutation", "BallSignature", "BallSignature-str",
-        "AlgebraWord"])
+        "AlgebraWord", "Shape.from_row_lengths", "Permutation.identity",
+        "Permutation.longest"])
 def test_refuses_non_integral(make, message):
     check_value_error(make, message)

@@ -2,6 +2,7 @@
 
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -230,6 +231,27 @@ class TestParseAgainstFraction:
         with pytest.raises(ParseError, match="number too long"):
             parse_rational(token)
         self.check(token)
+
+
+class TestExactEntries:
+    """A weight holds exact rationals: ints and `Fraction`s are taken, any
+    other value is refused rather than converted."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [1.5, 0.1, Decimal("1.5"), "3", None, 1j],
+        ids=["float", "inexact-float", "Decimal", "str", "None", "complex"],
+    )
+    def test_refuses_inexact(self, entry):
+        check_value_error(
+            lambda: Weight([1, entry]),
+            "weight entries must be integers or Fractions",
+        )
+
+    def test_takes_ints_and_fractions(self):
+        w = Weight([3, F(7, 2), True])
+        assert w.entries == (3, F(7, 2), 1)
+        assert all(type(e) is F for e in w.entries)
 
 
 class TestCanonicalize:
