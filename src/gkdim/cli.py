@@ -143,7 +143,7 @@ def _parse_pq(text: str) -> PQContext:
     try:
         p_str, q_str = text.split(",")
         return PQContext(_ascii_int(p_str), _ascii_int(q_str))
-    except (ValueError, TypeError):
+    except ValueError:
         raise ParseError(f"expected p,q with positive integers: {text!r}") from None
 
 
@@ -151,7 +151,7 @@ def _parse_z_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = (_ascii_int(t) for t in text.split(","))
         return lo, hi
-    except (ValueError, TypeError):
+    except ValueError:
         raise ParseError(f"expected z_from,z_to integers: {text!r}") from None
 
 

@@ -5,7 +5,22 @@ violated mathematical preconditions; ``InvariantError`` covers an internal
 cross-check that failed, which no input should cause.  Every ``DomainError``
 and ``InvariantError`` carries a stable ``code`` and a ``details`` dict naming
 the offending data, so the CLI can emit machine-readable error objects.
+
+`_integers` is the one check of integer input: the integer fields of the
+value types, the z-series bounds and every index argument go through it.
 """
+
+from operator import index
+
+
+def _integers(values, message: str) -> tuple[int, ...]:
+    """values as ints, through ``operator.index``; any other value raises
+    ``ValueError(message)``, and a non-iterable ``TypeError``."""
+    entries = map(index, values)  # a non-iterable raises TypeError here
+    try:
+        return tuple(entries)
+    except TypeError:
+        raise ValueError(message) from None
 
 
 class ParseError(ValueError):

@@ -15,7 +15,6 @@ closure is k(n-k), and the orbit index is m, or min(p,q) when non-integral.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -25,11 +24,14 @@ from .errors import (
     NotPQDominantError,
     OutsideUnitaryIntervalError,
     ZRangeBoundError,
+    _integers,
 )
 from .tableaux import insertion_tableau
 from .weights import (
     PQContext,
     Weight,
+    _Z_EXACT,
+    _exact,
     add_z_zeta,
     congruence_key,
     pq_dominance_violation,
@@ -68,11 +70,7 @@ class BallSignature(NamedTuple("BallSignature", [("runs", tuple[int, ...])])):
     __slots__ = ()
 
     def __new__(cls, runs: Iterable[int]):
-        entries = map(index, runs)  # a non-iterable raises TypeError here
-        try:
-            rs = tuple(entries)
-        except TypeError:
-            raise ValueError("run lengths must be integers") from None
+        rs = _integers(runs, "run lengths must be integers")
         if len(rs) < 2 or len(rs) % 2:
             raise ValueError("signature needs even length 2r with r >= 1")
         if min(rs) < 0:
@@ -197,10 +195,8 @@ class AlgebraWord(
 
     def __new__(cls, factors: Iterable[tuple[str, int]]):
         fs = [(str(l), e) for l, e in factors]
-        try:
-            fs = tuple((l, index(e)) for l, e in fs)
-        except TypeError:
-            raise ValueError("exponents must be integers") from None
+        exponents = _integers((e for _, e in fs), "exponents must be integers")
+        fs = tuple(zip((l for l, _ in fs), exponents))
         if any(l not in ("x", "y") or e < 0 for l, e in fs):
             raise ValueError("factors must be ('x'|'y', exponent >= 0)")
         return tuple.__new__(cls, (fs,))
@@ -386,7 +382,7 @@ class UnitaryInterval(NamedTuple):
         return self.p_prime + self.q_prime - 1
 
     def contains(self, z: Fraction | int) -> bool:
-        z = Fraction(z)
+        z = _exact(z, _Z_EXACT)
         if z <= self.threshold_real:
             return True
         return z.denominator == 1 and z <= self.threshold_int
@@ -434,7 +430,7 @@ def _unitary_gkdim(
 ) -> int:
     """`unitary_gkdim` given interval = unitary_interval(tilde_w, ctx), which
     has checked that tilde_w, and so each weight on its z-line, is dominant."""
-    z = Fraction(z)
+    z = _exact(z, _Z_EXACT)
     if not interval.contains(z):
         raise OutsideUnitaryIntervalError(
             f"z={z} is outside the unitary interval",
@@ -503,6 +499,7 @@ def gkdim_series(
     `HermitianReport`.  A non-integral line gives pq at every point with no
     insertion.
     """
+    z_from, z_to = _integers((z_from, z_to), "z_from and z_to must be integers")
     _require_pq_dominant(tilde_w, ctx)
     if z_from > z_to:
         raise DomainError("empty range", z_from=z_from, z_to=z_to)

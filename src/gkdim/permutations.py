@@ -7,10 +7,9 @@ permutation sorting a weight into antidominant position.
 
 from __future__ import annotations
 
-from operator import index
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .errors import NotIntegralError
+from .errors import NotIntegralError, _integers
 from .tableaux import Shape, Tableau, insertion_tableau, rs_pair
 
 if TYPE_CHECKING:
@@ -24,11 +23,7 @@ class Permutation:
     __slots__ = ("one_line",)
 
     def __init__(self, one_line: Iterable[int]):
-        entries = map(index, one_line)  # a non-iterable raises TypeError here
-        try:
-            ol = tuple(entries)
-        except TypeError:
-            raise ValueError("one-line entries must be integers") from None
+        ol = _integers(one_line, "one-line entries must be integers")
         if sorted(ol) != list(range(1, len(ol) + 1)):
             raise ValueError(f"not a permutation of 1..{len(ol)}: {ol}")
         object.__setattr__(self, "one_line", ol)
@@ -49,8 +44,9 @@ class Permutation:
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        _check_index(i, n, "position")
-        _check_index(j, n, "position")
+        n = _rank(n)
+        i = _check_index(i, n, "position")
+        j = _check_index(j, n, "position")
         ol = list(range(1, n + 1))
         ol[i - 1], ol[j - 1] = ol[j - 1], ol[i - 1]
         return cls(ol)
@@ -60,8 +56,7 @@ class Permutation:
         return len(self.one_line)
 
     def __call__(self, i: int) -> int:
-        _check_index(i, self.n, "position")
-        return self.one_line[i - 1]
+        return self.one_line[_check_index(i, self.n, "position") - 1]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.one_line)
@@ -99,14 +94,14 @@ class Permutation:
 
     def times_s(self, i: int) -> "Permutation":
         """Right multiplication by the adjacent transposition s_i."""
-        _check_index(i, self.n - 1, "generator")
+        i = _check_index(i, self.n - 1, "generator")
         ol = list(self.one_line)
         ol[i - 1], ol[i] = ol[i], ol[i - 1]
         return Permutation(ol)
 
     def s_times(self, i: int) -> "Permutation":
         """Left multiplication by s_i (swaps the values i and i+1)."""
-        _check_index(i, self.n - 1, "generator")
+        i = _check_index(i, self.n - 1, "generator")
         ol = [i + 1 if v == i else i if v == i + 1 else v for v in self.one_line]
         return Permutation(ol)
 
@@ -138,15 +133,15 @@ class Permutation:
 
 
 def _rank(n: int) -> int:
-    try:
-        return index(n)
-    except TypeError:
-        raise ValueError("n must be an integer") from None
+    return _integers((n,), "n must be an integer")[0]
 
 
-def _check_index(i: int, top: int, what: str) -> None:
+def _check_index(i: int, top: int, what: str) -> int:
+    """i as an int, if it is an integer in 1..top."""
+    (i,) = _integers((i,), f"{what} index must be an integer")
     if not 1 <= i <= top:
         raise ValueError(f"{what} index must be in 1..{top}, got {i}")
+    return i
 
 
 def _inversions(one_line: tuple[int, ...]) -> int:
@@ -180,7 +175,7 @@ def parabolic_longest(s: Shape, n: int) -> Permutation:
     The blocks have the column sizes as lengths, so the element reverses
     each consecutive block of positions.
     """
-    if s.size != n:
+    if s.size != _rank(n):
         raise ValueError(f"shape has {s.size} boxes, expected {n}")
     ol: list[int] = []
     start = 1

@@ -12,8 +12,10 @@ tableau without validating it again.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import ge, gt, index
+from operator import ge, gt
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
+
+from .errors import _integers
 
 # Any totally ordered value; the library inserts `Fraction`s and ints.
 Entry = Any
@@ -31,38 +33,15 @@ class Shape(NamedTuple("Shape", [("column_sizes", tuple[int, ...])])):
     __slots__ = ()
 
     def __new__(cls, column_sizes: Iterable[int]):
-        entries = map(index, column_sizes)  # a non-iterable raises TypeError here
-        try:
-            cs = tuple(entries)
-        except TypeError:
-            raise ValueError("column sizes must be integers") from None
-        if any(c <= 0 for c in cs):
-            raise ValueError("column sizes must be positive")
-        if any(cs[i] < cs[i + 1] for i in range(len(cs) - 1)):
-            raise ValueError("column sizes must weakly decrease")
-        return tuple.__new__(cls, (cs,))
+        return tuple.__new__(cls, (_partition(column_sizes, "column sizes"),))
 
     @classmethod
     def from_row_lengths(cls, rows: Sequence[int]) -> "Shape":
-        entries = map(index, rows)  # a non-iterable raises TypeError here
-        try:
-            rows = tuple(entries)
-        except TypeError:
-            raise ValueError("row lengths must be integers") from None
-        if any(r <= 0 for r in rows):
-            raise ValueError("row lengths must be positive")
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-            raise ValueError("row lengths must weakly decrease")
-        return cls(
-            sum(1 for r in rows if r > j) for j in range(max(rows, default=0))
-        )
+        return cls(_conjugate(_partition(rows, "row lengths")))
 
     @property
     def row_lengths(self) -> tuple[int, ...]:
-        cs = self.column_sizes
-        return tuple(
-            sum(1 for c in cs if c > i) for i in range(cs[0] if cs else 0)
-        )
+        return _conjugate(self.column_sizes)
 
     @property
     def size(self) -> int:
@@ -83,6 +62,21 @@ class Shape(NamedTuple("Shape", [("column_sizes", tuple[int, ...])])):
 
     def __repr__(self) -> str:
         return f"Shape{self.column_sizes}"
+
+
+def _partition(parts: Iterable[int], noun: str) -> tuple[int, ...]:
+    """parts as ints, if positive and weakly decreasing, else a ValueError."""
+    parts = _integers(parts, f"{noun} must be integers")
+    if any(c <= 0 for c in parts):
+        raise ValueError(f"{noun} must be positive")
+    if any(map(gt, parts[1:], parts)):
+        raise ValueError(f"{noun} must weakly decrease")
+    return parts
+
+
+def _conjugate(p: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugate of the partition p: how many parts exceed 0, 1, 2, ..."""
+    return tuple(sum(c > i for c in p) for i in range(max(p, default=0)))
 
 
 class Tableau(NamedTuple("Tableau", [("rows", "tuple[tuple[Entry, ...], ...]")])):
@@ -114,18 +108,16 @@ class Tableau(NamedTuple("Tableau", [("rows", "tuple[tuple[Entry, ...], ...]")])
 
     def column(self, j: int) -> tuple[Entry, ...]:
         """Entries of the j-th column (1-indexed), top to bottom."""
+        (j,) = _integers((j,), "column index must be an integer")
         if j < 1:
             raise ValueError(f"column index must be at least 1, got {j}")
         return tuple(r[j - 1] for r in self.rows if len(r) >= j)
 
     def is_standard(self) -> bool:
-        """Rows and columns strictly increase and entries are exactly 1..k."""
+        """Entries are exactly 1..k, so, being distinct, they strictly
+        increase along the rows as well as down the columns."""
         flat = sorted(e for r in self.rows for e in r)
-        if flat != list(range(1, len(flat) + 1)):
-            return False
-        return all(
-            r[j] < r[j + 1] for r in self.rows for j in range(len(r) - 1)
-        )
+        return flat == list(range(1, len(flat) + 1))
 
     def __repr__(self) -> str:
         return f"Tableau({[list(r) for r in self.rows]!r})"

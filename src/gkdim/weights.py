@@ -11,12 +11,11 @@ No floating point is used anywhere: entries are ``fractions.Fraction``.
 from __future__ import annotations
 
 import numbers
-import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import LengthMismatchError, ParseError
+from .errors import LengthMismatchError, ParseError, _integers
 
 Rational = Fraction
 
@@ -77,12 +76,15 @@ def congruence_key(e: Fraction | int) -> tuple[int, int]:
     return e.numerator % e.denominator, e.denominator
 
 
-def _exact(e) -> Fraction:
+def _exact(e, message: str) -> Fraction:
     """e as a `Fraction`, if it is an exact rational (an int or a
-    `Fraction`); a float, `Decimal` or string is refused, not converted."""
+    `Fraction`); a float, `Decimal` or string raises ValueError(message)."""
     if not isinstance(e, numbers.Rational):
-        raise ValueError("weight entries must be integers or Fractions")
+        raise ValueError(message)
     return Fraction(e)
+
+
+_Z_EXACT = "z must be an integer or a Fraction"
 
 
 def parse_weight(text: str) -> "Weight":
@@ -100,7 +102,9 @@ class Weight:
 
     def __init__(self, entries: Iterable[Fraction | int]):
         entries = tuple(
-            e if type(e) is Fraction else _exact(e) for e in entries
+            e if type(e) is Fraction
+            else _exact(e, "weight entries must be integers or Fractions")
+            for e in entries
         )
         if not entries:
             raise ValueError("a weight needs at least one entry")
@@ -174,10 +178,7 @@ class PQContext(NamedTuple("PQContext", [("p", int), ("q", int)])):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int):
-        try:
-            p, q = operator.index(p), operator.index(q)
-        except TypeError:
-            raise ValueError("p and q must be integers") from None
+        p, q = _integers((p, q), "p and q must be integers")
         if p < 1 or q < 1:
             raise ValueError("p and q must be positive")
         return tuple.__new__(cls, (p, q))
@@ -219,6 +220,6 @@ def is_pq_dominant(w: Weight, ctx: PQContext) -> bool:
 def add_z_zeta(w: Weight, ctx: PQContext, z: Fraction | int) -> Weight:
     """Add z to the first p entries (z times the weight with p ones, q zeros)."""
     ctx.check(w)
-    z = Fraction(z)
+    z = _exact(z, _Z_EXACT)
     es = w.entries
     return Weight([e + z for e in es[: ctx.p]] + list(es[ctx.p :]))

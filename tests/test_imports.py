@@ -191,3 +191,16 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError,
                        match="^module 'gkdim' has no attribute 'no_such_name'$"):
         gkdim.no_such_name  # noqa: B018
+
+
+def test_a_submodule_resolves_as_an_attribute_after_a_bare_import():
+    out, added = _fresh("import gkdim; print(gkdim.hermitian.__name__)")
+    assert out == "gkdim.hermitian\n"
+    assert "gkdim.hermitian" in added and "gkdim.hecke" not in added
+
+
+def test_dir_and_submodule_lookup_in_process():
+    """`dir` lists every public name; `__getattr__`, which an attribute read
+    reaches only until the submodule is bound, returns the submodule."""
+    assert set(gkdim.__all__) | {"__version__"} <= set(dir(gkdim))
+    assert gkdim.__getattr__("hermitian") is sys.modules["gkdim.hermitian"]

@@ -17,7 +17,7 @@ from gkdim import (
     rs_of_permutation,
 )
 from gkdim.permutations import _inverse, _inversions
-from helpers import check_value_error
+from helpers import check_value_error, check_value_type
 
 
 def perms(max_n=6):
@@ -94,6 +94,18 @@ class TestGroupStructure:
         bad = i if not 1 <= i <= 3 else j
         check_value_error(lambda: Permutation.transposition(3, i, j),
                           f"position index must be in 1..3, got {bad}")
+
+    def test_contract(self):
+        check_value_type(Permutation, ((2, 3, 1),), {"one_line": (2, 3, 1)},
+                         "Permutation(2, 3, 1)")
+
+    def test_never_equal_to_a_tuple(self):
+        assert Permutation([1]) != (1,)
+        assert not Permutation([1]) == (1,)
+
+    def test_act_on_size_mismatch(self):
+        check_value_error(lambda: Permutation([2, 1]).act_on(Weight([1, 2, 3])),
+                          "size mismatch")
 
     def test_indices_at_the_ends(self):
         a = Permutation([2, 3, 1])

@@ -468,6 +468,17 @@ class TestValueType:
         check_value_error(lambda: Tableau([[1, 2], [3]]).column(j),
                           f"column index must be at least 1, got {j}")
 
+    @pytest.mark.parametrize("rows,standard", [
+        ([[1, 2], [3]], True),
+        ([], True),
+        ([[1, 3], [4]], False),
+        ([[2]], False),
+        ([[1, 1]], False),
+        ([[F(1), F(2)]], True),
+    ], ids=["standard", "empty", "gap", "not-from-1", "repeat", "fractions"])
+    def test_is_standard(self, rows, standard):
+        assert Tableau(rows).is_standard() is standard
+
     def test_column_past_the_shape(self):
         t = Tableau([[1, 2], [3]])
         assert (t.column(1), t.column(2), t.column(3)) == ((1, 3), (2,), ())

@@ -3,8 +3,9 @@ copy.copy, copy.deepcopy and pickle at every protocol as an equal value of
 the same type with the same repr, and the same hash if it has one (only
 the mapping kl_basis_element returns has none).
 The tests' reference LaurentPoly and HeckeElement keep that contract too.
-The value types with integer fields refuse non-integral input, as PQContext
-does, rather than truncating it."""
+The value types with integer fields, the z-series bounds and every index
+argument refuse non-integral input, as PQContext does, rather than
+truncating it."""
 
 import copy
 import pickle
@@ -26,7 +27,9 @@ from gkdim import (
     algebra_normal_form,
     gk_dimension,
     gk_pq,
+    gkdim_series,
     kl_basis_element,
+    parabolic_longest,
     unitary_interval,
     xi_signature,
 )
@@ -98,8 +101,26 @@ def test_round_trip(name, how):
     (lambda: Shape.from_row_lengths([2.0]), "row lengths must be integers"),
     (lambda: Permutation.identity(2.0), "n must be an integer"),
     (lambda: Permutation.longest(2.0), "n must be an integer"),
+    (lambda: gkdim_series(Weight([2, 1, 4, 3, 2]), PQContext(2, 3), 0.0, 2.0),
+     "z_from and z_to must be integers"),
+    (lambda: gkdim_series(Weight([2, 1, 4, 3, 2]), PQContext(2, 3), 0, "2"),
+     "z_from and z_to must be integers"),
+    (lambda: Permutation([2, 3, 1])(1.0), "position index must be an integer"),
+    (lambda: Permutation.transposition(3, 1.0, 2),
+     "position index must be an integer"),
+    (lambda: Permutation.transposition(3.0, 1, 2), "n must be an integer"),
+    (lambda: Permutation([2, 3, 1]).times_s(1.0),
+     "generator index must be an integer"),
+    (lambda: Permutation([2, 3, 1]).s_times(1.0),
+     "generator index must be an integer"),
+    (lambda: Tableau([[1, 2], [3]]).column(2.0),
+     "column index must be an integer"),
+    (lambda: parabolic_longest(Shape((2, 1)), 3.0), "n must be an integer"),
 ], ids=["Shape", "Permutation", "BallSignature", "BallSignature-str",
         "AlgebraWord", "Shape.from_row_lengths", "Permutation.identity",
-        "Permutation.longest"])
+        "Permutation.longest", "gkdim_series", "gkdim_series-str",
+        "Permutation.__call__", "Permutation.transposition",
+        "Permutation.transposition-n", "Permutation.times_s",
+        "Permutation.s_times", "Tableau.column", "parabolic_longest"])
 def test_refuses_non_integral(make, message):
     check_value_error(make, message)

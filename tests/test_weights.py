@@ -18,6 +18,8 @@ from gkdim import (
     is_pq_dominant,
     parse_rational,
     parse_weight,
+    unitary_gkdim,
+    unitary_interval,
 )
 from gkdim.weights import congruence_key, pq_dominance_violation
 
@@ -252,6 +254,40 @@ class TestExactEntries:
         w = Weight([3, F(7, 2), True])
         assert w.entries == (3, F(7, 2), 1)
         assert all(type(e) is F for e in w.entries)
+
+    @pytest.mark.parametrize(
+        "z", [0.1, 1.0, Decimal("1"), "1"],
+        ids=["float", "integral-float", "Decimal", "str"],
+    )
+    @pytest.mark.parametrize("take", [
+        add_z_zeta,
+        unitary_gkdim,
+        lambda w, ctx, z: unitary_interval(w, ctx).contains(z),
+    ], ids=["add_z_zeta", "unitary_gkdim", "UnitaryInterval.contains"])
+    def test_z_refuses_inexact(self, take, z):
+        """z, like the entries, is an exact rational on the whole z-line."""
+        check_value_error(
+            lambda: take(Weight([2, 1, 4, 3, 2]), PQContext(2, 3), z),
+            "z must be an integer or a Fraction",
+        )
+
+
+class TestWeightValue:
+    def test_contract(self):
+        check_value_type(Weight, ([3, F(1, 2)],), {"entries": [3, F(1, 2)]},
+                         "Weight(3, 1/2)")
+
+    def test_needs_an_entry(self):
+        check_value_error(lambda: Weight([]),
+                          "a weight needs at least one entry")
+
+    def test_sequence_of_its_entries(self):
+        w = Weight([3, F(1, 2)])
+        assert (list(w), len(w), w[0], w[-1]) == ([3, F(1, 2)], 2, 3, F(1, 2))
+
+    def test_never_equal_to_a_tuple(self):
+        assert Weight([1]) != (1,)
+        assert not Weight([1]) == (1,)
 
 
 class TestCanonicalize:
