@@ -55,13 +55,14 @@ from functools import lru_cache, wraps
 from itertools import permutations
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import InvariantError, RankBoundError
+from .errors import InvariantError, RankBoundError, _integers
 from .permutations import Permutation, _inverse, _inversions
 
 DEFAULT_RANK_BOUND = 5
 
 
 def _check_rank(n: int, rank_bound: int) -> None:
+    (rank_bound,) = _integers((rank_bound,), "rank_bound must be an integer")
     if n > rank_bound:
         raise RankBoundError(
             f"oracle limited to rank {rank_bound}, got n={n}",

@@ -38,26 +38,33 @@ from .weights import (
 )
 
 
-def _require_pq_dominant(w: Weight, ctx: PQContext) -> None:
+def _halves(w: Weight, ctx: PQContext) -> tuple[list[int], list[int]] | None:
+    """w's black and white numerators, or None when w is not integral across
+    the split; refuses a weight that is not (p,q)-dominant.  Dominance makes
+    each half one congruence class, so the first black's and first white's
+    keys decide integrality, and an integral weight's entries share one
+    denominator, so its numerators order them, ties included."""
     bad = pq_dominance_violation(w, ctx)
     if bad is not None:
         raise NotPQDominantError(
             f"entries {bad[0]} and {bad[1]} violate (p,q)-dominance",
             i=bad[0], j=bad[1], p=ctx.p, q=ctx.q,
         )
+    es = w.entries
+    if congruence_key(es[0]) != congruence_key(es[ctx.p]):
+        return None
+    return [e.numerator for e in es[: ctx.p]], [e.numerator for e in es[ctx.p :]]
 
 
-def _integral_across_split(w: Weight, ctx: PQContext) -> bool:
-    return congruence_key(w.entries[0]) == congruence_key(w.entries[ctx.p])
-
-
-def _require_integral_dominant(w: Weight, ctx: PQContext) -> None:
-    _require_pq_dominant(w, ctx)
-    if not _integral_across_split(w, ctx):
+def _integral_halves(w: Weight, ctx: PQContext) -> tuple[list[int], list[int]]:
+    """`_halves` for the entry points that need an integral weight."""
+    halves = _halves(w, ctx)
+    if halves is None:
         raise NotIntegralError(
             "weight is not integral across the (p,q) split",
             i=1, j=ctx.p + 1,
         )
+    return halves
 
 
 class BallSignature(NamedTuple("BallSignature", [("runs", tuple[int, ...])])):
@@ -116,18 +123,7 @@ def xi_signature(w: Weight, ctx: PQContext) -> BallSignature:
     of blacks above the next white.  The first white run and the last black
     run may be empty; every other run holds at least one ball.
     """
-    _require_integral_dominant(w, ctx)
-    return _merged_signature(*_numerators(w, ctx))
-
-
-def _numerators(w: Weight, ctx: PQContext) -> tuple[list[int], list[int]]:
-    """The numerators of w's black and white entries.  For an integral
-    weight all entries share one denominator, so these order them, ties
-    included."""
-    return (
-        [e.numerator for e in w.entries[: ctx.p]],
-        [e.numerator for e in w.entries[ctx.p :]],
-    )
+    return _merged_signature(*_integral_halves(w, ctx))
 
 
 def _merged_signature(blacks: list[int], whites: list[int]) -> BallSignature:
@@ -169,7 +165,7 @@ def second_column_by_deletion(w: Weight, ctx: PQContext) -> list[Fraction]:
     least one white entry are deleted; the emitted entry is the lowest
     surviving white bound (the k-th white when the last black fits below
     white k, the last white when even it is too big)."""
-    _require_integral_dominant(w, ctx)
+    _integral_halves(w, ctx)
     blacks = list(w.entries[: ctx.p])
     whites = list(w.entries[ctx.p :])
     column: list[Fraction] = []
@@ -292,16 +288,32 @@ def gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
     ball model, which must agree.  Non-integral case: GKdim = pq and the
     orbit index is min(p,q).
 
-    Unlike the points of the z-line, which insert ints, `gk_pq` itself
-    still inserts the weight's `Fraction`s: the benchmark checks each
-    large-n round afterwards with its own quadratic su(p,q) insertion, so a
-    much faster `gk_pq` would make a run check for minutes, until the
+    Unlike the points of the z-line, which insert ints, `gk_pq` inserts the
+    weight's `Fraction`s.  Int keys here would make it much faster at large
+    n, but perfbench checks each large-n round afterwards with its own
+    quadratic su(p,q) insertion, about 0.23 s a round, and a `gk_pq` call
+    is about 96% of a round (median 311 ms against 3 x 3.76 ms for the
+    sl(n) calls).  A much faster `gk_pq` would fit several hundred rounds
+    into a 30-s run and make checking them take minutes, until the
     benchmark caps its rounds.  A strictly decreasing weight builds one row
-    per entry and costs O(n^2) comparisons: 0.4-0.6, 1.5-2.1 and 4.9-7.3 s
-    at n = 1000, 2000 and 4000 (2 vCPU, Python 3.11.7).
+    per entry and costs O(n^2) comparisons: `gk_pq` takes 0.4-0.6, 1.5-2.1
+    and 4.9-7.3 s at n = 1000, 2000 and 4000, and `gk_dimension`, which
+    inserts ints, about 0.07, 0.2-0.3 and 0.85 s (2 vCPU, Python 3.11.7).
     """
-    _require_pq_dominant(w, ctx)
-    return _dominant_gk_pq(w, ctx)
+    halves = _halves(w, ctx)
+    integral = halves is not None
+    second = xi = None
+    m = min(ctx.p, ctx.q)
+    if integral:
+        # Dominance makes each half one congruence class and the split joins
+        # them, so the whole weight is the one class to insert.
+        second, xi, m = _two_route_check(w.entries, *halves, w, ctx)
+    n = ctx.n
+    return HermitianReport(
+        p=ctx.p, q=ctx.q, integral=integral, m=m, second_column=second, xi=xi,
+        gk_dimension=m * (n - m) if integral else ctx.p * ctx.q,
+        orbit_index=m, orbit_dimension=m * (n - m),
+    )
 
 
 def _two_route_check(
@@ -316,9 +328,9 @@ def _two_route_check(
     which must agree, and the paper proves the tableau has at most two
     columns.  The shifted weight is built only to name it in an error.
     """
-    tableau = insertion_tableau(seq)
-    width = len(tableau.rows[0])
-    second = tableau.column(2)
+    rows = insertion_tableau(seq).rows
+    width = len(rows[0])
+    second = tuple(r[1] for r in rows if len(r) > 1)
     xi = _merged_signature(blacks, whites)
     m = ball_model_m(xi)
     if width <= 2 and m == len(second):
@@ -338,25 +350,6 @@ def _two_route_check(
         f"{where}: tableau and ball model disagree: second column of length "
         f"{len(second)}, ball model m = {m} from {xi}",
         **fields, tableau_m=len(second), ball_model_m=m, xi=list(xi.runs),
-    )
-
-
-def _dominant_gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
-    """The body of `gk_pq`, for a weight already known to be (p,q)-dominant."""
-    n = ctx.n
-    second = xi = None
-    m = min(ctx.p, ctx.q)
-    integral = _integral_across_split(w, ctx)
-    if integral:
-        # Dominance makes each half one congruence class and the split joins
-        # them, so the whole weight is the one class to insert.
-        second, xi, m = _two_route_check(
-            w.entries, *_numerators(w, ctx), w, ctx
-        )
-    return HermitianReport(
-        p=ctx.p, q=ctx.q, integral=integral, m=m, second_column=second, xi=xi,
-        gk_dimension=m * (n - m) if integral else ctx.p * ctx.q,
-        orbit_index=m, orbit_dimension=m * (n - m),
     )
 
 
@@ -403,7 +396,7 @@ def unitary_interval(tilde_w: Weight, ctx: PQContext) -> UnitaryInterval:
     the trailing entries of the white half.  Requires a (p,q)-dominant
     weight with first entry equal to last.
     """
-    _require_integral_dominant(tilde_w, ctx)
+    _integral_halves(tilde_w, ctx)
     es = tilde_w.entries
     if es[0] != es[-1]:
         raise DomainError(
@@ -442,16 +435,14 @@ def _unitary_gkdim(
     else:
         value = int(z + 1) * int(n - z - 1)
     # The shifted weight's integrality is read off its own first black and
-    # first white, as `_integral_across_split` reads it, so the closed form
-    # meets an independent computation.  When the keys agree, every shifted
-    # entry has the denominator d of es[p] (tilde_w is integral), so z*d is
-    # an integer.
+    # first white, as `_halves` reads tilde_w's, so the closed form meets an
+    # independent computation.
     es = tilde_w.entries
     actual = p * q
     if congruence_key(es[0] + z) == congruence_key(es[p]):
-        shift = int(z * es[p].denominator)
-        blacks, whites = _numerators(tilde_w, ctx)
-        actual = _z_point_gk(tilde_w, ctx, blacks, whites, z, shift)
+        blacks = [e.numerator for e in es[:p]]
+        whites = [e.numerator for e in es[p:]]
+        actual = _z_point_gk(tilde_w, ctx, blacks, whites, z)
     if actual != value:
         raise InvariantError(
             f"unitary_gkdim of {tilde_w} for (p,q)=({p},{q}) at z={z}: "
@@ -464,15 +455,17 @@ def _unitary_gkdim(
 
 def _z_point_gk(
     tilde_w: Weight, ctx: PQContext, blacks: list[int], whites: list[int],
-    z: Fraction | int, shift: int,
+    z: Fraction | int,
 ) -> int:
     """GK dimension at an integral point z of tilde_w's z-line.
 
     blacks and whites are tilde_w's numerators over their one denominator
-    d, and shift = z*d.  Adding z to a black e = b/d gives (b + shift)/d,
-    still in lowest terms, so the shifted weight's numerators are the
-    shifted blacks and the unchanged whites, and no `Weight` is built.
+    d.  tilde_w is integral too, so z is an integer, and adding it to a
+    black e = b/d gives (b + z*d)/d, still in lowest terms: the shifted
+    weight's numerators are the shifted blacks and the unchanged whites,
+    and no `Weight` is built.
     """
+    shift = int(z * tilde_w.entries[0].denominator)
     shifted = [b + shift for b in blacks]
     _, _, m = _two_route_check(
         shifted + whites, shifted, whites, tilde_w, ctx, z
@@ -500,7 +493,7 @@ def gkdim_series(
     insertion.
     """
     z_from, z_to = _integers((z_from, z_to), "z_from and z_to must be integers")
-    _require_pq_dominant(tilde_w, ctx)
+    halves = _halves(tilde_w, ctx)
     if z_from > z_to:
         raise DomainError("empty range", z_from=z_from, z_to=z_to)
     if z_to - z_from + 1 > Z_RANGE_BOUND:
@@ -512,12 +505,9 @@ def gkdim_series(
     # Adding an integer z to the first p entries keeps each half's
     # congruence key and order, so every weight on the line is dominant, as
     # tilde_w is, and integral across the split exactly when tilde_w is.
-    integral = _integral_across_split(tilde_w, ctx)
-    if integral:
-        d = tilde_w.entries[0].denominator
-        blacks, whites = _numerators(tilde_w, ctx)
+    if halves is not None:
         series = [
-            (z, _z_point_gk(tilde_w, ctx, blacks, whites, z, z * d))
+            (z, _z_point_gk(tilde_w, ctx, *halves, z))
             for z in range(z_from, z_to + 1)
         ]
     else:
@@ -532,7 +522,7 @@ def gkdim_series(
                 p=ctx.p, q=ctx.q, z=z0, gk_dimension=g0, next_z=z1,
                 next_gk_dimension=g1,
             )
-    if integral:
+    if halves is not None:
         threshold = tilde_w.entries[ctx.p] - tilde_w.entries[ctx.p - 1] + 1
         for z, g in series:
             if z > threshold and g != 0:

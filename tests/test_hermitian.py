@@ -127,6 +127,50 @@ def test_value_type_validation(make, message):
     check_value_error(make, message)
 
 
+_NOT_DOMINANT = Weight([1, 2, 2, 1]), PQContext(2, 2)
+_NON_INTEGRAL = Weight([2, 1, F(1, 2)]), PQContext(2, 1)
+_ENTRY_POINTS = {
+    "gk_pq": gk_pq,
+    "xi_signature": xi_signature,
+    "second_column_by_deletion": second_column_by_deletion,
+    "unitary_interval": unitary_interval,
+    "unitary_gkdim": lambda w, ctx: unitary_gkdim(w, ctx, 0),
+    "gkdim_series": lambda w, ctx: gkdim_series(w, ctx, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENTRY_POINTS))
+def test_refuses_non_dominant(name):
+    """Every su(p,q) entry point refuses a weight that is not
+    (p,q)-dominant with one error, naming the first offending pair."""
+    with pytest.raises(NotPQDominantError) as info:
+        _ENTRY_POINTS[name](*_NOT_DOMINANT)
+    assert info.value.to_json() == {
+        "code": "not-pq-dominant",
+        "message": "entries 1 and 2 violate (p,q)-dominance",
+        "details": {"i": 1, "j": 2, "p": 2, "q": 2},
+    }
+
+
+@pytest.mark.parametrize("name", list(_ENTRY_POINTS))
+def test_non_integral_split(name):
+    """A weight that is not integral across the split is refused by the
+    entry points that need integrality and answers pq in the others."""
+    answer = _ENTRY_POINTS[name]
+    if name == "gk_pq":
+        assert answer(*_NON_INTEGRAL).gk_dimension == 2
+    elif name == "gkdim_series":
+        assert answer(*_NON_INTEGRAL) == [(0, 2)]
+    else:
+        with pytest.raises(NotIntegralError) as info:
+            answer(*_NON_INTEGRAL)
+        assert info.value.to_json() == {
+            "code": "not-integral",
+            "message": "weight is not integral across the (p,q) split",
+            "details": {"i": 1, "j": 3},
+        }
+
+
 def reference_ball_signature(runs):
     """The runs `BallSignature(runs)` holds, or the message it raises, by
     one generator per check, as the constructor did before its C-level

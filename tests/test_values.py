@@ -3,8 +3,8 @@ copy.copy, copy.deepcopy and pickle at every protocol as an equal value of
 the same type with the same repr, and the same hash if it has one (only
 the mapping kl_basis_element returns has none).
 The tests' reference LaurentPoly and HeckeElement keep that contract too.
-The value types with integer fields, the z-series bounds and every index
-argument refuse non-integral input, as PQContext does, rather than
+The value types with integer fields, the z-series bounds, every index
+argument and the oracle's rank bound refuse non-integral input, as PQContext does, rather than
 truncating it."""
 
 import copy
@@ -24,6 +24,7 @@ from gkdim import (
     Tableau,
     UnitaryInterval,
     Weight,
+    a_function_definitional,
     algebra_normal_form,
     gk_dimension,
     gk_pq,
@@ -116,11 +117,21 @@ def test_round_trip(name, how):
     (lambda: Tableau([[1, 2], [3]]).column(2.0),
      "column index must be an integer"),
     (lambda: parabolic_longest(Shape((2, 1)), 3.0), "n must be an integer"),
+    (lambda: a_function_definitional(Permutation([2, 1, 3]), rank_bound="5"),
+     "rank_bound must be an integer"),
+    (lambda: a_function_definitional(Permutation([2, 1, 3]), rank_bound=None),
+     "rank_bound must be an integer"),
+    (lambda: a_function_definitional(Permutation([2, 1, 3]), rank_bound=2.5),
+     "rank_bound must be an integer"),
+    (lambda: kl_basis_element(Permutation([2, 1]), rank_bound=5.0),
+     "rank_bound must be an integer"),
 ], ids=["Shape", "Permutation", "BallSignature", "BallSignature-str",
         "AlgebraWord", "Shape.from_row_lengths", "Permutation.identity",
         "Permutation.longest", "gkdim_series", "gkdim_series-str",
         "Permutation.__call__", "Permutation.transposition",
         "Permutation.transposition-n", "Permutation.times_s",
-        "Permutation.s_times", "Tableau.column", "parabolic_longest"])
+        "Permutation.s_times", "Tableau.column", "parabolic_longest",
+        "rank_bound-str", "rank_bound-None", "rank_bound-float",
+        "kl_basis_element-rank_bound"])
 def test_refuses_non_integral(make, message):
     check_value_error(make, message)
