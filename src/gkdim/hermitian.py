@@ -296,9 +296,10 @@ def gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
     sl(n) calls).  A much faster `gk_pq` would fit several hundred rounds
     into a 30-s run and make checking them take minutes, until the
     benchmark caps its rounds.  A strictly decreasing weight builds one row
-    per entry and costs O(n^2) comparisons: `gk_pq` takes 0.4-0.6, 1.5-2.1
-    and 4.9-7.3 s at n = 1000, 2000 and 4000, and `gk_dimension`, which
-    inserts ints, about 0.07, 0.2-0.3 and 0.85 s (2 vCPU, Python 3.11.7).
+    per entry and costs O(n^2) comparisons: `gk_pq` takes 0.28-0.32,
+    1.1-1.3 and 4.4-4.5 s at n = 1000, 2000 and 4000, and `gk_dimension`,
+    which inserts ints, about 0.034, 0.135 and 0.55 s (2 vCPU, Python
+    3.11.7).
     """
     halves = _halves(w, ctx)
     integral = halves is not None
@@ -396,18 +397,21 @@ def unitary_interval(tilde_w: Weight, ctx: PQContext) -> UnitaryInterval:
     the trailing entries of the white half.  Requires a (p,q)-dominant
     weight with first entry equal to last.
     """
-    _integral_halves(tilde_w, ctx)
+    blacks, whites = _integral_halves(tilde_w, ctx)
     es = tilde_w.entries
-    if es[0] != es[-1]:
+    # An integral weight's entries share one denominator d, so equal
+    # numerators mean equal entries and a gap of 1 is a numerator gap of d.
+    if blacks[0] != whites[-1]:
         raise DomainError(
             "first and last entries must coincide",
             first=str(es[0]), last=str(es[-1]),
         )
+    d = es[0].denominator
     p_prime = 1
-    while p_prime < ctx.p and es[p_prime - 1] - es[p_prime] == 1:
+    while p_prime < ctx.p and blacks[p_prime - 1] - blacks[p_prime] == d:
         p_prime += 1
     q_prime = 1
-    while q_prime < ctx.q and es[-q_prime - 1] - es[-q_prime] == 1:
+    while q_prime < ctx.q and whites[-q_prime - 1] - whites[-q_prime] == d:
         q_prime += 1
     return UnitaryInterval(p_prime=p_prime, q_prime=q_prime)
 
@@ -523,7 +527,11 @@ def gkdim_series(
                 next_gk_dimension=g1,
             )
     if halves is not None:
-        threshold = tilde_w.entries[ctx.p] - tilde_w.entries[ctx.p - 1] + 1
+        # The first white less the last black, over their one denominator,
+        # is an integer, since the line is integral.
+        blacks, whites = halves
+        d = tilde_w.entries[0].denominator
+        threshold = (whites[0] - blacks[-1]) // d + 1
         for z, g in series:
             if z > threshold and g != 0:
                 raise InvariantError(

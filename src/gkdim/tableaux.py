@@ -4,9 +4,9 @@ Entries may be any totally ordered values: ``Fraction``s, ``int``s or
 ``str``s, compared as they are given.  ``Shape`` and ``Tableau`` are
 immutable one-field ``NamedTuple``s.  `insertion_tableau` builds the
 insertion tableau P of a sequence and `rs_pair` builds P with its recording
-tableau Q; both fold `_row_insert` over mutable rows and validate the result
-once, in the ``Tableau`` constructor.  `_relabel` maps the entries of a built
-tableau without validating it again.
+tableau Q; both hand the whole sequence to `_schensted`, the one bumping
+loop, and validate the result once, in the ``Tableau`` constructor.
+`_relabel` maps the entries of a built tableau without validating it again.
 """
 
 from __future__ import annotations
@@ -132,25 +132,37 @@ class Tableau(NamedTuple("Tableau", [("rows", "tuple[tuple[Entry, ...], ...]")])
         return [[str(e) for e in r] for r in self.rows]
 
 
-def _row_insert(rows: list[list[Entry]], x: Entry) -> tuple[int, int]:
-    """Schensted row insertion of x into mutable rows, in place.
+def _schensted(
+    rows: list[list[Entry]], seq: Iterable[Entry],
+    added: list[list[Entry]] | None = None,
+) -> None:
+    """Schensted row insertion of each entry of seq into mutable rows, in
+    place, in one loop.
 
-    The inserted value bumps the leftmost entry strictly bigger than it;
-    equal entries are passed over, so repeats extend rows rightwards.
-    Returns the 1-indexed (row, column) of the added box.
+    An inserted value bumps the leftmost entry strictly bigger than it into
+    the next row; equal entries are passed over, so repeats extend rows
+    rightwards.  If added is a list, the row that gained each entry's box
+    is appended to it, in order: rows are only ever extended, never
+    replaced, so a recorded row is still one of rows when the loop ends.
 
-    >>> rows = [[2, 5], [3]]
-    >>> _row_insert(rows, 2), rows
-    ((2, 2), [[2, 2], [3, 5]])
+    >>> rows, added = [[2, 5], [3]], []
+    >>> _schensted(rows, [2, 6], added)
+    >>> rows, [rows.index(r) for r in added]
+    ([[2, 2, 6], [3, 5]], [1, 0])
     """
-    for i, row in enumerate(rows, start=1):
-        j = bisect_right(row, x)
-        if j == len(row):
-            row.append(x)
-            return i, j + 1
-        x, row[j] = row[j], x
-    rows.append([x])
-    return len(rows), 1
+    for x in seq:
+        for row in rows:
+            j = bisect_right(row, x)
+            if j < len(row):
+                x, row[j] = row[j], x
+            else:
+                row.append(x)
+                break
+        else:
+            row = [x]
+            rows.append(row)
+        if added is not None:
+            added.append(row)
 
 
 def _validate(rows: Sequence[Sequence[Entry]]) -> None:
@@ -173,8 +185,10 @@ def insertion_tableau(seq: Iterable[Entry]) -> Tableau:
     This is the one P-only builder: `gk_dimension`, `gk_pq` and
     `a_value_of_permutation` all call it.  Each entry costs one ``bisect``
     per row it passes, so a strictly decreasing sequence, which builds one
-    row per entry, costs O(n^2) comparisons; `hermitian.gk_pq` gives the
-    timings, for `Fraction`s and for ints.
+    row per entry, costs O(n^2) comparisons: at n = 1000, 2000 and 4000,
+    about 0.3, 1.1-1.3 and 4.4 s for `Fraction`s (`hermitian.gk_pq`) and
+    0.034, 0.135 and 0.55 s for ints (`dimension.gk_dimension`), with 2
+    vCPU and Python 3.11.7.
 
     >>> insertion_tableau([3, 5, 2, 2, 1]).rows
     ((1, 2), (2, 5), (3,))
@@ -182,8 +196,7 @@ def insertion_tableau(seq: Iterable[Entry]) -> Tableau:
     (('a', 'c'), ('b',))
     """
     rows: list[list[Entry]] = []
-    for x in seq:
-        _row_insert(rows, x)
+    _schensted(rows, seq)
     return Tableau(rows)
 
 
@@ -211,11 +224,11 @@ def rs_pair(seq: Iterable[Entry]) -> tuple[Tableau, Tableau]:
     ((1, 2), (3, 4), (5,))
     """
     p_rows: list[list[Entry]] = []
-    q_rows: list[list[int]] = []
-    for k, x in enumerate(seq, start=1):
-        i, _ = _row_insert(p_rows, x)
-        if i > len(q_rows):
-            q_rows.append([k])
-        else:
-            q_rows[i - 1].append(k)
+    added: list[list[Entry]] = []
+    _schensted(p_rows, seq, added)
+    # Entry k's box went to the end of the row recorded k-th.
+    index = {id(r): i for i, r in enumerate(p_rows)}
+    q_rows: list[list[int]] = [[] for _ in p_rows]
+    for k, row in enumerate(added, start=1):
+        q_rows[index[id(row)]].append(k)
     return Tableau(p_rows), Tableau(q_rows)

@@ -166,6 +166,7 @@ class Weight:
         return True
 
     def shift(self, c: Fraction | int) -> "Weight":
+        c = _exact(c, "shift c must be an integer or a Fraction")
         return Weight(e + c for e in self.entries)
 
     def to_strings(self) -> list[str]:

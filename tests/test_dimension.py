@@ -80,6 +80,17 @@ def reference_congruence_decomposition(w: Weight) -> list[CongruenceClass]:
     return [CongruenceClass(tuple(i), tuple(e)) for i, e in classes]
 
 
+# 1-3 classes (offsets 0, 1/2, -1/3) over five integer parts, so entries tie.
+tied_weights = st.integers(1, 3).flatmap(
+    lambda k: st.lists(
+        st.builds(lambda i, c: i + c, st.integers(-2, 2),
+                  st.sampled_from([F(0), F(1, 2), F(-1, 3)][:k])),
+        min_size=1,
+        max_size=25,
+    )
+).map(Weight)
+
+
 class TestCongruenceDecomposition:
     @given(mixed_weights)
     def test_matches_subtraction_reference(self, w):
@@ -87,6 +98,21 @@ class TestCongruenceDecomposition:
         report = gk_dimension(w)
         assert report.integral == w.is_integral()
         assert list(report.classes) == reference_congruence_decomposition(w)
+
+    @given(tied_weights)
+    def test_report_classes_are_the_decomposition(self, w):
+        assert gk_dimension(w).classes == tuple(congruence_decomposition(w))
+
+    @pytest.mark.parametrize("text,count", [
+        ("2,2,1,2,1", 1),
+        ("1/2,0,1/2,-1/2,0,0", 2),
+        ("1,1/3,1,1/2,1/3,1/2,0,-2/3", 3),
+    ])
+    def test_report_classes_examples(self, text, count):
+        w = parse_weight(text)
+        classes = congruence_decomposition(w)
+        assert len(classes) == count
+        assert gk_dimension(w).classes == tuple(classes)
 
     def test_intro_example(self):
         classes = congruence_decomposition(parse_weight(INTRO))

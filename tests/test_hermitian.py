@@ -828,6 +828,30 @@ class TestCrossCheckErrors:
         assert isinstance(info.value, InvariantError)
         assert info.value.details["gk_dimension"] == 1
         assert info.value.details["expected"] == 0
+        assert info.value.details["threshold"] == "4"
+
+    @pytest.mark.parametrize("w,ctx", [
+        (mu_tilde(2, 3), PQContext(2, 3)),
+        (Weight([F(5, 2), F(3, 2), F(9, 2), F(7, 2), F(5, 2)]),
+         PQContext(2, 3)),
+        (Weight([F(-1, 3), F(-7, 3), F(14, 3), F(2, 3)]), PQContext(2, 2)),
+    ])
+    def test_threshold_reads_as_the_fraction_gap(self, monkeypatch, w, ctx):
+        """The threshold is compared as an int; its text and field are
+        those of the `Fraction` gap plus 1."""
+        threshold = w.entries[ctx.p] - w.entries[ctx.p - 1] + 1
+        z = int(threshold) + 1
+        monkeypatch.setattr(
+            gkdim.hermitian, "_z_point_gk", _fake_gk_pq([1, 1])
+        )
+        with pytest.raises(InvariantError) as info:
+            gkdim_series(w, ctx, z - 1, z)
+        assert str(info.value) == (
+            f"gkdim_series of {w} for (p,q)=({ctx.p},{ctx.q}): "
+            f"GK dimension 1 at z={z}, expected 0 beyond threshold "
+            f"{threshold}"
+        )
+        assert info.value.details["threshold"] == str(threshold)
 
 
 @st.composite
@@ -871,6 +895,56 @@ def z_line_tilde_weights(draw):
     return Weight(blacks + whites), PQContext(p, q)
 
 
+@st.composite
+def unitary_interval_inputs(draw):
+    """A (p,q)-dominant weight over a denominator of 1 to 4 with gaps of 1
+    to 3: most have first entry equal to last, some do not, and some are
+    not integral across the split."""
+    den = draw(st.integers(1, 4))
+    residue = draw(st.integers(0, den - 1))
+    p, q = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    c = draw(st.integers(-4, 4))
+    blacks = draw(_z_line_halves(den, residue, p, first=c))
+    kind = draw(st.sampled_from(["mirrored"] * 4 + ["free", "other residue"]))
+    if kind == "mirrored":
+        whites = [2 * blacks[0] - e for e in reversed(
+            draw(_z_line_halves(den, residue, q, first=c))
+        )]
+    else:
+        if kind == "other residue":
+            residue = draw(st.integers(0, den - 1))
+        whites = draw(_z_line_halves(den, residue, q))
+    return Weight(blacks + whites), PQContext(p, q)
+
+
+def _fraction_unitary_interval(tilde_w: Weight, ctx: PQContext):
+    """p' and q' by `Fraction` subtraction, as `unitary_interval` read them
+    before it read the numerators."""
+    gkdim.hermitian._integral_halves(tilde_w, ctx)
+    es = tilde_w.entries
+    if es[0] != es[-1]:
+        raise DomainError(
+            "first and last entries must coincide",
+            first=str(es[0]), last=str(es[-1]),
+        )
+    p_prime = 1
+    while p_prime < ctx.p and es[p_prime - 1] - es[p_prime] == 1:
+        p_prime += 1
+    q_prime = 1
+    while q_prime < ctx.q and es[-q_prime - 1] - es[-q_prime] == 1:
+        q_prime += 1
+    return UnitaryInterval(p_prime=p_prime, q_prime=q_prime)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type, text and details of the `DomainError` it
+    raises."""
+    try:
+        return f(*args)
+    except DomainError as e:
+        return type(e), str(e), e.details
+
+
 def _fraction_route(w: Weight, ctx: PQContext, z) -> int:
     """The GK dimension at z through a shifted `Weight` of `Fraction`s."""
     return gk_pq(add_z_zeta(w, ctx, z), ctx).gk_dimension
@@ -891,6 +965,14 @@ class TestIntZLine:
             (z, _fraction_route(w, ctx, z)) for z in range(z_from, z_to + 1)
         ]
         assert series[-1][0] > gap  # the window runs past the gap
+
+    @settings(max_examples=300, deadline=None)
+    @given(unitary_interval_inputs())
+    def test_unitary_interval_against_fraction_scan(self, line):
+        w, ctx = line
+        assert _outcome(unitary_interval, w, ctx) == _outcome(
+            _fraction_unitary_interval, w, ctx
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(z_line_tilde_weights())

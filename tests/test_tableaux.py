@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkdim import Shape, Tableau, insertion_tableau, rs_pair, tableaux
-from gkdim.tableaux import _relabel, _row_insert, _validate
+from gkdim.tableaux import _relabel, _schensted, _validate
 from helpers import check_value_error, check_value_type, reference_schensted
 
 entry_lists = st.lists(
@@ -26,6 +26,37 @@ repeat_heavy_lists = st.lists(
     ),
     max_size=20,
 )
+
+# Repeat-heavy words of each kind of entry the insertion compares as given:
+# small ints, Fractions over denominators 1-4 (one word mixes them), strs.
+repeat_heavy_words = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=30),
+    st.lists(
+        st.sampled_from(sorted({F(k, d) for d in range(1, 5) for k in range(-4, 5)})),
+        max_size=30,
+    ),
+    st.lists(st.sampled_from(["", "a", "ab", "b", "ba", "c"]), max_size=30),
+)
+
+
+def _boxes(rows, added):
+    """The 1-indexed (row, column) of each recorded box: a row gains its
+    boxes at its end, so the k-th time a row is recorded it gained column k."""
+    number = {id(r): i for i, r in enumerate(rows, start=1)}
+    gained = dict.fromkeys(number, 0)
+    boxes = []
+    for r in added:
+        gained[id(r)] += 1
+        boxes.append((number[id(r)], gained[id(r)]))
+    return boxes
+
+
+def _insert_one(rows, x):
+    """Insert x into rows with `_schensted`; the (row, column) of its box."""
+    added = []
+    _schensted(rows, [x], added)
+    (row,) = added
+    return next(i for i, r in enumerate(rows, start=1) if r is row), len(row)
 
 
 def reference_validate(rows):
@@ -221,19 +252,19 @@ class TestShape:
 class TestInsert:
     def test_worked_bump(self):
         rows = [[2, 5], [3]]
-        box = _row_insert(rows, 2)
+        box = _insert_one(rows, 2)
         assert Tableau(rows).rows == ((2, 2), (3, 5))
         assert box == (2, 2)
 
     def test_into_empty(self):
         rows = []
-        box = _row_insert(rows, F(7, 2))
+        box = _insert_one(rows, F(7, 2))
         assert Tableau(rows).rows == ((F(7, 2),),)
         assert box == (1, 1)
 
     def test_append_when_largest(self):
         rows = [[1, 3], [2]]
-        box = _row_insert(rows, 3)
+        box = _insert_one(rows, 3)
         assert Tableau(rows).rows == ((1, 3, 3), (2,))
         assert box == (1, 3)
 
@@ -408,10 +439,32 @@ class TestAgainstReference:
     @given(repeat_heavy_lists)
     def test_folded_insert(self, seq):
         p_ref, _, boxes_ref = reference_schensted(seq)
-        rows = []
-        boxes = [_row_insert(rows, x) for x in seq]
+        rows, added = [], []
+        _schensted(rows, seq, added)
         assert Tableau(rows).rows == p_ref
-        assert boxes == boxes_ref
+        assert _boxes(rows, added) == boxes_ref
+
+    @given(repeat_heavy_words)
+    def test_insertion_tableau_and_rs_pair(self, seq):
+        p_ref, q_ref, _ = reference_schensted(seq)
+        assert insertion_tableau(seq).rows == p_ref
+        assert insertion_tableau(iter(seq)).rows == p_ref
+        p, q = rs_pair(iter(seq))
+        assert p.rows == p_ref
+        assert q.rows == q_ref
+
+    @given(repeat_heavy_words, repeat_heavy_words)
+    def test_insert_in_two_calls(self, first, second):
+        """Inserting a word in two calls continues the same rows and
+        records the same boxes as inserting it in one."""
+        if first and second and isinstance(first[0], str) != isinstance(second[0], str):
+            second = []
+        p_ref, _, boxes_ref = reference_schensted(first + second)
+        rows, added = [], []
+        _schensted(rows, first, added)
+        _schensted(rows, second, added)
+        assert Tableau(rows).rows == p_ref
+        assert _boxes(rows, added) == boxes_ref
 
 
 class TestRendering:

@@ -272,6 +272,23 @@ class TestExactEntries:
         )
 
 
+    @pytest.mark.parametrize(
+        "c", [0.5, 1.0, Decimal("0.5"), Decimal("1"), "1", None],
+        ids=["float", "integral-float", "Decimal", "integral-Decimal", "str",
+             "None"],
+    )
+    def test_shift_refuses_inexact(self, c):
+        """The shift is held to the entries' contract, under its own name."""
+        check_value_error(
+            lambda: Weight([2, F(1, 2)]).shift(c),
+            "shift c must be an integer or a Fraction",
+        )
+
+    def test_shift_takes_ints_and_fractions(self):
+        assert Weight([2, F(1, 2)]).shift(1).entries == (3, F(3, 2))
+        assert Weight([2, F(1, 2)]).shift(F(-1, 2)).entries == (F(3, 2), 0)
+
+
 class TestWeightValue:
     def test_contract(self):
         check_value_type(Weight, ([3, F(1, 2)],), {"entries": [3, F(1, 2)]},
