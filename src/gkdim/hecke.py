@@ -220,10 +220,10 @@ def kl_basis_element(
     nonzero coefficient of each T_y, with its zero coefficients left out.
     The mapping is the caller's own copy.
 
-    The first lookup at rank n builds all n! basis elements of S_n: about
-    0.006 s at rank 5 and 0.1-0.2 s at rank 6, where about a third come
-    from a product and the rest are relabelled.  Raising rank_bound past 6
-    makes that first lookup build all 5040 (rank 7) or more."""
+    The first lookup at rank n builds all n! basis elements of S_n, about
+    a third of them by a product (44 of 120 at rank 5, 229 of 720 at rank
+    6) and the rest by relabelling one built before.  Raising rank_bound
+    past 6 makes that first lookup build all 5040 (rank 7) or more."""
     _check_rank(w.n, rank_bound)
     kl = _kl_basis(w.n)
     perms = kl.perms

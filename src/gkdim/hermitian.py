@@ -32,18 +32,18 @@ from .weights import (
     Weight,
     _Z_EXACT,
     _exact,
-    add_z_zeta,
     congruence_key,
     pq_dominance_violation,
 )
 
 
-def _halves(w: Weight, ctx: PQContext) -> tuple[list[int], list[int]] | None:
-    """w's black and white numerators, or None when w is not integral across
-    the split; refuses a weight that is not (p,q)-dominant.  Dominance makes
-    each half one congruence class, so the first black's and first white's
-    keys decide integrality, and an integral weight's entries share one
-    denominator, so its numerators order them, ties included."""
+def _halves(w: Weight, ctx: PQContext) -> tuple[list[int], list[int], int] | None:
+    """w's black and white numerators and their one denominator d, or None
+    when w is not integral across the split; refuses a weight that is not
+    (p,q)-dominant.  Dominance makes each half one congruence class, so the
+    first black's and first white's keys decide integrality, and an
+    integral weight's entries share one denominator, so its numerators
+    order them, ties included, and x/d is the entry of numerator x."""
     bad = pq_dominance_violation(w, ctx)
     if bad is not None:
         raise NotPQDominantError(
@@ -53,10 +53,14 @@ def _halves(w: Weight, ctx: PQContext) -> tuple[list[int], list[int]] | None:
     es = w.entries
     if congruence_key(es[0]) != congruence_key(es[ctx.p]):
         return None
-    return [e.numerator for e in es[: ctx.p]], [e.numerator for e in es[ctx.p :]]
+    return (
+        [e.numerator for e in es[: ctx.p]],
+        [e.numerator for e in es[ctx.p :]],
+        es[0].denominator,
+    )
 
 
-def _integral_halves(w: Weight, ctx: PQContext) -> tuple[list[int], list[int]]:
+def _integral_halves(w: Weight, ctx: PQContext) -> tuple[list[int], list[int], int]:
     """`_halves` for the entry points that need an integral weight."""
     halves = _halves(w, ctx)
     if halves is None:
@@ -123,7 +127,7 @@ def xi_signature(w: Weight, ctx: PQContext) -> BallSignature:
     of blacks above the next white.  The first white run and the last black
     run may be empty; every other run holds at least one ball.
     """
-    return _merged_signature(*_integral_halves(w, ctx))
+    return _merged_signature(*_integral_halves(w, ctx)[:2])
 
 
 def _merged_signature(blacks: list[int], whites: list[int]) -> BallSignature:
@@ -291,15 +295,12 @@ def gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
     Unlike the points of the z-line, which insert ints, `gk_pq` inserts the
     weight's `Fraction`s.  Int keys here would make it much faster at large
     n, but perfbench checks each large-n round afterwards with its own
-    quadratic su(p,q) insertion, about 0.23 s a round, and a `gk_pq` call
-    is about 96% of a round (median 311 ms against 3 x 3.76 ms for the
-    sl(n) calls).  A much faster `gk_pq` would fit several hundred rounds
-    into a 30-s run and make checking them take minutes, until the
-    benchmark caps its rounds.  A strictly decreasing weight builds one row
-    per entry and costs O(n^2) comparisons: `gk_pq` takes 0.28-0.32,
-    1.1-1.3 and 4.4-4.5 s at n = 1000, 2000 and 4000, and `gk_dimension`,
-    which inserts ints, about 0.034, 0.135 and 0.55 s (2 vCPU, Python
-    3.11.7).
+    quadratic su(p,q) insertion, and a `gk_pq` call is most of a large-n
+    round.  A much faster `gk_pq` would fit many more rounds into one
+    benchmark run and make checking them take minutes, until the benchmark
+    caps its rounds.  The insertion costs the `Fraction` comparisons
+    bounded in `insertion_tableau`'s docstring; a strictly decreasing
+    weight builds one row per entry and costs O(n^2).
     """
     halves = _halves(w, ctx)
     integral = halves is not None
@@ -308,7 +309,7 @@ def gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
     if integral:
         # Dominance makes each half one congruence class and the split joins
         # them, so the whole weight is the one class to insert.
-        second, xi, m = _two_route_check(w.entries, *halves, w, ctx)
+        second, xi, m = _two_route_check(w.entries, *halves, ctx)
     n = ctx.n
     return HermitianReport(
         p=ctx.p, q=ctx.q, integral=integral, m=m, second_column=second, xi=xi,
@@ -318,16 +319,16 @@ def gk_pq(w: Weight, ctx: PQContext) -> HermitianReport:
 
 
 def _two_route_check(
-    seq: Iterable, blacks: list[int], whites: list[int],
-    w: Weight, ctx: PQContext, z: Fraction | int = 0,
+    seq: Iterable, blacks: list[int], whites: list[int], d: int,
+    ctx: PQContext,
 ) -> tuple[tuple, BallSignature, int]:
     """(second column, signature, m) of the integral (p,q)-dominant weight
-    add_z_zeta(w, ctx, z), given its black and white numerators and, as
-    seq, its entries or any keys that order them the same way.
+    whose black and white entries are the numerators blacks and whites over
+    d, given, as seq, its entries or any keys that order them the same way.
 
     m is read off the insertion tableau of seq and from the ball model,
     which must agree, and the paper proves the tableau has at most two
-    columns.  The shifted weight is built only to name it in an error.
+    columns.  The weight is built only to name it in an error.
     """
     rows = insertion_tableau(seq).rows
     width = len(rows[0])
@@ -336,11 +337,9 @@ def _two_route_check(
     m = ball_model_m(xi)
     if width <= 2 and m == len(second):
         return second, xi, m
-    shifted = add_z_zeta(w, ctx, z)
-    where = f"gk_pq of {shifted} for (p,q)=({ctx.p},{ctx.q})"
-    fields = dict(
-        function="gk_pq", weight=shifted.to_strings(), p=ctx.p, q=ctx.q
-    )
+    w = Weight(Fraction(x, d) for x in blacks + whites)
+    where = f"gk_pq of {w} for (p,q)=({ctx.p},{ctx.q})"
+    fields = dict(function="gk_pq", weight=w.to_strings(), p=ctx.p, q=ctx.q)
     if width > 2:
         raise InvariantError(
             f"{where}: insertion tableau has {width} columns, at most 2 "
@@ -397,7 +396,7 @@ def unitary_interval(tilde_w: Weight, ctx: PQContext) -> UnitaryInterval:
     the trailing entries of the white half.  Requires a (p,q)-dominant
     weight with first entry equal to last.
     """
-    blacks, whites = _integral_halves(tilde_w, ctx)
+    blacks, whites, d = _integral_halves(tilde_w, ctx)
     es = tilde_w.entries
     # An integral weight's entries share one denominator d, so equal
     # numerators mean equal entries and a gap of 1 is a numerator gap of d.
@@ -406,7 +405,6 @@ def unitary_interval(tilde_w: Weight, ctx: PQContext) -> UnitaryInterval:
             "first and last entries must coincide",
             first=str(es[0]), last=str(es[-1]),
         )
-    d = es[0].denominator
     p_prime = 1
     while p_prime < ctx.p and blacks[p_prime - 1] - blacks[p_prime] == d:
         p_prime += 1
@@ -446,7 +444,7 @@ def _unitary_gkdim(
     if congruence_key(es[0] + z) == congruence_key(es[p]):
         blacks = [e.numerator for e in es[:p]]
         whites = [e.numerator for e in es[p:]]
-        actual = _z_point_gk(tilde_w, ctx, blacks, whites, z)
+        actual = _z_point_gk(blacks, whites, es[0].denominator, ctx, int(z))
     if actual != value:
         raise InvariantError(
             f"unitary_gkdim of {tilde_w} for (p,q)=({p},{q}) at z={z}: "
@@ -458,22 +456,19 @@ def _unitary_gkdim(
 
 
 def _z_point_gk(
-    tilde_w: Weight, ctx: PQContext, blacks: list[int], whites: list[int],
-    z: Fraction | int,
+    blacks: list[int], whites: list[int], d: int, ctx: PQContext, z: int
 ) -> int:
-    """GK dimension at an integral point z of tilde_w's z-line.
+    """GK dimension at the integer point z of the z-line of an integral
+    weight whose black and white entries are the numerators blacks and
+    whites over d.
 
-    blacks and whites are tilde_w's numerators over their one denominator
-    d.  tilde_w is integral too, so z is an integer, and adding it to a
-    black e = b/d gives (b + z*d)/d, still in lowest terms: the shifted
-    weight's numerators are the shifted blacks and the unchanged whites,
-    and no `Weight` is built.
+    Adding z to a black e = b/d gives (b + z*d)/d, still in lowest terms:
+    the shifted weight's numerators are the shifted blacks and the
+    unchanged whites, and no `Weight` is built.
     """
-    shift = int(z * tilde_w.entries[0].denominator)
+    shift = z * d
     shifted = [b + shift for b in blacks]
-    _, _, m = _two_route_check(
-        shifted + whites, shifted, whites, tilde_w, ctx, z
-    )
+    _, _, m = _two_route_check(shifted + whites, shifted, whites, d, ctx)
     return m * (ctx.n - m)
 
 
@@ -491,10 +486,10 @@ def gkdim_series(
     more than Z_RANGE_BOUND points is refused before any computation.
 
     Each point of an integral line costs one insertion of the shifted
-    weight's n int numerators (O(n^2) comparisons at worst, as `gk_pq`'s)
-    and one O(n) ball-model check; it builds no `Weight`, `Fraction` or
-    `HermitianReport`.  A non-integral line gives pq at every point with no
-    insertion.
+    weight's n int numerators (the comparisons bounded in
+    `insertion_tableau`'s docstring) and one O(n) ball-model check; it
+    builds no `Weight`, `Fraction` or `HermitianReport`.  A non-integral
+    line gives pq at every point with no insertion.
     """
     z_from, z_to = _integers((z_from, z_to), "z_from and z_to must be integers")
     halves = _halves(tilde_w, ctx)
@@ -511,7 +506,7 @@ def gkdim_series(
     # tilde_w is, and integral across the split exactly when tilde_w is.
     if halves is not None:
         series = [
-            (z, _z_point_gk(tilde_w, ctx, *halves, z))
+            (z, _z_point_gk(*halves, ctx, z))
             for z in range(z_from, z_to + 1)
         ]
     else:
@@ -529,8 +524,7 @@ def gkdim_series(
     if halves is not None:
         # The first white less the last black, over their one denominator,
         # is an integer, since the line is integral.
-        blacks, whites = halves
-        d = tilde_w.entries[0].denominator
+        blacks, whites, d = halves
         threshold = (whites[0] - blacks[-1]) // d + 1
         for z, g in series:
             if z > threshold and g != 0:

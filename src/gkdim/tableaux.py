@@ -183,12 +183,15 @@ def insertion_tableau(seq: Iterable[Entry]) -> Tableau:
     """Insertion tableau P of a sequence, with no recording tableau.
 
     This is the one P-only builder: `gk_dimension`, `gk_pq` and
-    `a_value_of_permutation` all call it.  Each entry costs one ``bisect``
-    per row it passes, so a strictly decreasing sequence, which builds one
-    row per entry, costs O(n^2) comparisons: at n = 1000, 2000 and 4000,
-    about 0.3, 1.1-1.3 and 4.4 s for `Fraction`s (`hermitian.gk_pq`) and
-    0.034, 0.135 and 0.55 s for ints (`dimension.gk_dimension`), with 2
-    vCPU and Python 3.11.7.
+    `a_value_of_permutation` all call it.  Its cost, in comparisons of
+    entries, is bounded by the shape lambda of P.  An insertion that adds
+    a box in row r visits at most r rows (Schensted 1961), one ``bisect`` of
+    at most floor(log2 lambda_1) + 1 comparisons each, and the boxes' rows
+    sum to n + n(lambda) (`Tableau.a_value`), so n entries cost at most
+    (n + n(lambda)) * (floor(log2 lambda_1) + 1) + 2n comparisons, the 2n
+    for the one validation pass.  A strictly decreasing sequence has
+    n(lambda) = n(n-1)/2, so it costs O(n^2).  `rs_pair` costs the same;
+    `tests/test_tableaux.py` counts both against this bound.
 
     >>> insertion_tableau([3, 5, 2, 2, 1]).rows
     ((1, 2), (2, 5), (3,))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -64,6 +65,41 @@ def reference_schensted(seq):
         q = tuple(tuple(r) for r in q_rows)
         boxes.append(box)
     return p, q, boxes
+
+
+class Counted:
+    """An entry that adds one to `calls[0]` for every rich comparison made
+    with it on the left; the entries of one word share one `calls` list.
+    Comparing two `Counted`s runs exactly one of their methods, so the
+    count is the number of comparisons a routine makes between entries."""
+
+    __slots__ = ("value", "calls")
+
+    def __init__(self, value, calls: list[int]):
+        self.value = value
+        self.calls = calls
+
+    def _compare(op):
+        def compare(self, other):
+            self.calls[0] += 1
+            return op(self.value, other.value)
+
+        return compare
+
+    __lt__ = _compare(operator.lt)
+    __le__ = _compare(operator.le)
+    __gt__ = _compare(operator.gt)
+    __ge__ = _compare(operator.ge)
+    __eq__ = _compare(operator.eq)
+    __ne__ = _compare(operator.ne)
+    del _compare
+
+
+def counted_word(values) -> tuple[list[Counted], list[int]]:
+    """values as `Counted` entries, and the one-item list counting their
+    comparisons."""
+    calls = [0]
+    return [Counted(v, calls) for v in values], calls
 
 
 def signature_from_balls(balls: str) -> BallSignature:

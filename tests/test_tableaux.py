@@ -1,5 +1,6 @@
 """Schensted insertion, shapes and the column statistic."""
 
+import random
 from fractions import Fraction as F
 from itertools import permutations
 from operator import ge, gt
@@ -10,7 +11,12 @@ from hypothesis import strategies as st
 
 from gkdim import Shape, Tableau, insertion_tableau, rs_pair, tableaux
 from gkdim.tableaux import _relabel, _schensted, _validate
-from helpers import check_value_error, check_value_type, reference_schensted
+from helpers import (
+    check_value_error,
+    check_value_type,
+    counted_word,
+    reference_schensted,
+)
 
 entry_lists = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=6),
@@ -465,6 +471,59 @@ class TestAgainstReference:
         _schensted(rows, second, added)
         assert Tableau(rows).rows == p_ref
         assert _boxes(rows, added) == boxes_ref
+
+
+def _bound_words():
+    """The word families whose cost the insertion bound must cover, by id:
+    one row per entry, a hook, su(p,q) words (two strictly decreasing runs,
+    as `gk_pq` and each z-line point insert), words with heavy repeats, and
+    sorted words (one long row)."""
+    rng = random.Random(31)
+
+    def run(k, spread):
+        return sorted(rng.sample(range(-spread, spread), k), reverse=True)
+
+    words = {}
+    for n in (1, 2, 64, 300):
+        words[f"decreasing-{n}"] = list(range(n, 0, -1))
+    for k in (2, 50, 150):
+        words[f"hook-{k}"] = list(range(k, 0, -1)) + list(range(k + 1, 2 * k + 1))
+    for p, q in ((1, 1), (5, 7), (100, 150), (250, 50)):
+        words[f"su({p},{q})"] = run(p, p + q) + run(q, p + q)
+    for n, top in ((20, 3), (300, 9), (300, 40)):
+        words[f"repeats-{n}-{top}"] = [rng.randint(0, top) for _ in range(n)]
+    words["sorted-repeats-300"] = sorted(rng.randint(0, 9) for _ in range(300))
+    words["sorted-distinct-300"] = list(range(300))
+    return words
+
+
+BOUND_WORDS = _bound_words()
+
+
+class TestComparisonBound:
+    """The cost stated in `insertion_tableau`'s docstring, counted: an entry
+    that ends in row r visits at most r rows, one ``bisect`` of at most
+    floor(log2 lambda_1) + 1 comparisons each, so a word of n entries with
+    shape lambda costs at most (n + n(lambda)) * (floor(log2 lambda_1) + 1)
+    comparisons, plus fewer than 2n for the one validation pass."""
+
+    @pytest.mark.parametrize(
+        "build", [insertion_tableau, lambda seq: rs_pair(seq)[0]],
+        ids=["insertion_tableau", "rs_pair"],
+    )
+    @pytest.mark.parametrize("values", BOUND_WORDS.values(), ids=BOUND_WORDS.keys())
+    def test_comparisons_within_bound(self, build, values):
+        word, calls = counted_word(values)
+        rows = build(word).rows
+        count = calls[0]
+        assert tuple(tuple(e.value for e in r) for r in rows) == (
+            insertion_tableau(values).rows
+        )
+        n = len(word)
+        n_lambda = sum(i * len(r) for i, r in enumerate(rows))
+        # k.bit_length() is floor(log2 k) + 1 for k >= 1.
+        bound = (n + n_lambda) * len(rows[0]).bit_length() + 2 * n
+        assert count <= bound, (count, bound)
 
 
 class TestRendering:
